@@ -41,6 +41,7 @@ from .spectra import (
     SpectrumGroup,
     QSpectrumReport,
     q_spectrum,
+    q_spectrum_cotree,
     main_count,
     main_values,
     CondensedMatrix,

@@ -11,12 +11,12 @@ import json
 import sys
 from pathlib import Path
 
-from .cotree import CotreeSyntaxError, NotCograph, bags, canonical_string, from_graph, parse, to_graph
+from .cotree import Cotree, CotreeSyntaxError, NotCograph, bags, canonical_string, parse, to_graph
 from .enumeration import enumerate_cographs
-from .families import FamilySpec, build
-from .graph import format_edge_list, parse_edge_list
+from .families import FamilySpec, build, build_cotree
+from .graph import Graph, format_edge_list, parse_edge_list
 from .recognition import InternalContradiction, classify
-from .spectra import condensed, dumps_17g, main_eigs_condensed, q_spectrum, report_to_json
+from .spectra import condensed, dumps_17g, main_eigs_condensed, q_spectrum, q_spectrum_cotree, report_to_json
 from .sweep import SWEEP_CAP, sweep, sweep_to_csv
 from .verify import THEOREM_IDS, cases_to_csv, run_verify
 
@@ -44,38 +44,40 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a JSON object")
     allowed = {"tol_group", "tol_main", "sweep_cap"}
     unknown = set(cfg) - allowed
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)} (allowed: {sorted(allowed)})")
+    for key in ("tol_group", "tol_main"):
+        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float))):
+            raise UsageError(f"config {key} must be a number, got {cfg[key]!r}")
     return cfg
 
 
-def _graph_from_args(args, need_cotree: bool = False):
-    """Build (cotree or None, graph) from --cotree/--edges/--family."""
+def _input_from_args(args) -> Cotree | Graph:
+    """The cotree (--cotree, --family) or the graph (--edges) the arguments name."""
     sources = [s for s in ("cotree", "edges", "family") if getattr(args, s, None)]
     if len(sources) != 1:
         raise UsageError("exactly one of --cotree, --edges, --family is required")
     src = sources[0]
     if src == "cotree":
-        t = parse(args.cotree)
-        return t, to_graph(t)
+        return parse(args.cotree)
     if src == "edges":
-        g = parse_edge_list(Path(args.edges).read_text())
-        if need_cotree:
-            t = from_graph(g)
-            return t, g
-        return None, g
-    spec = FamilySpec.from_json_dict(_load_json_arg(args.family))
-    return build(spec)
+        return parse_edge_list(Path(args.edges).read_text())
+    return build_cotree(FamilySpec.from_json_dict(_load_json_arg(args.family)))
 
 
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
     tol_group = args.tol_group if args.tol_group is not None else cfg.get("tol_group")
     tol_main = args.tol_main if args.tol_main is not None else cfg.get("tol_main")
-    _, g = _graph_from_args(args)
-    rep = q_spectrum(g, tol_group=tol_group, tol_main=tol_main)
+    source = _input_from_args(args)
+    if isinstance(source, Graph):
+        rep = q_spectrum(source, tol_group=tol_group, tol_main=tol_main)
+    else:
+        rep = q_spectrum_cotree(source, tol_group=tol_group, tol_main=tol_main)
     if args.json:
         print(report_to_json(rep))
     else:
@@ -90,8 +92,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _, g = _graph_from_args(args)
-    report = classify(g)
+    source = _input_from_args(args)
+    report = classify(source if isinstance(source, Graph) else to_graph(source))
     if args.json:
         print(dumps_17g(report.to_json_dict()))
     else:

@@ -20,6 +20,7 @@ __all__ = [
     "Cotree",
     "UNION",
     "JOIN",
+    "MAX_DEPTH",
     "CotreeSyntaxError",
     "NotCograph",
     "parse",
@@ -89,13 +90,20 @@ def leaf_count(t: Cotree) -> int:
 # Bare INT n inside a node stands for n leaf children; k*expr for k sibling
 # copies; K(n)/E(n) are the complete/edgeless graphs on n vertices. All
 # integers must be >= 1. The result is returned in normalized form.
+#
+# U/J nodes nest at most MAX_DEPTH deep. The parser and the tree walks after
+# it (normalize, to_graph, bags, ...) recurse once or more per level, and the
+# cap keeps them well inside Python's recursion limit.
 # ---------------------------------------------------------------------------
+
+MAX_DEPTH = 256
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> CotreeSyntaxError:
         return CotreeSyntaxError(message, self.pos)
@@ -142,6 +150,9 @@ class _Parser:
         raise self.error("expected 'U', 'J', 'K' or 'E'")
 
     def parse_node(self, kind: str) -> Cotree:
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"nodes nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
         self.pos += 1
         self.expect("(")
         if self.peek() == ")":
@@ -154,6 +165,7 @@ class _Parser:
                 continue
             break
         self.expect(")")
+        self.depth -= 1
         return Internal(kind, tuple(children))
 
     def parse_item(self) -> list[Cotree]:
@@ -350,7 +362,9 @@ def bags(t: Cotree) -> BagRepresentation:
     Bags are ordered by their first vertex in to_graph leaf order. The degree
     of a bag's vertices is accumulated over join ancestors: each join ancestor
     A contributes leafcount(A) minus the leafcount of A's child on the path.
-    The one-leaf cotree yields a single J-bag with t=1 and p=0 by convention.
+    Leaf counts are computed once per distinct node (repeated subtrees such as
+    those of "k*expr" share one object). The one-leaf cotree yields a single
+    J-bag with t=1 and p=0 by convention.
     """
     t = normalize(t)
     if isinstance(t, Leaf):
@@ -362,17 +376,24 @@ def bags(t: Cotree) -> BagRepresentation:
     #           child-index path root->parent, kinds of nodes root->parent)
     records: list[tuple[int, str, int, tuple[int, ...], tuple[int, ...], tuple[str, ...]]] = []
     counter = [0]
+    sizes: dict[int, int] = {}  # id(node) -> leaf count
+
+    def size(node: Cotree) -> int:
+        key = id(node)
+        if key not in sizes:
+            sizes[key] = 1 if isinstance(node, Leaf) else sum(size(c) for c in node.children)
+        return sizes[key]
 
     def walk(node: Internal, acc: int, pos: tuple[int, ...], kinds: tuple[str, ...]):
         here_kinds = kinds + (node.kind,)
-        total = leaf_count(node)
+        total = size(node)
         members: list[int] = []
         for i, c in enumerate(node.children):
             if isinstance(c, Leaf):
                 members.append(counter[0])
                 counter[0] += 1
             else:
-                extra = total - leaf_count(c) if node.kind == JOIN else 0
+                extra = total - size(c) if node.kind == JOIN else 0
                 walk(c, acc + extra, pos + (i,), here_kinds)
         if members:
             p = acc + total - 1 if node.kind == JOIN else acc

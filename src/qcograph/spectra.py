@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cotree import BagRepresentation, JOIN
+from .cotree import BagRepresentation, Cotree, JOIN, bags
 from .graph import Graph
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "default_tol_group",
     "default_tol_main",
     "q_spectrum",
+    "q_spectrum_cotree",
     "main_count",
     "main_values",
     "CondensedMatrix",
@@ -151,6 +152,7 @@ class QSpectrumReport:
     main_count: int
     tol_group: float
     tol_main: float
+    route: str  # "dense" (eigensolve of Q) or "cotree" (condensed matrix plus twin values)
 
     def main_values(self) -> list[float]:
         return [grp.value for grp in self.groups if grp.main]
@@ -169,6 +171,7 @@ class QSpectrumReport:
             ],
             "main_count": self.main_count,
             "tolerances": {"tol_group": self.tol_group, "tol_main": self.tol_main},
+            "route": self.route,
         }
 
 
@@ -184,6 +187,53 @@ def _group_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return spans
 
 
+def _grouped(
+    values: np.ndarray, vectors: np.ndarray, weights: np.ndarray, tol_group: float, tol_main: float
+) -> list[SpectrumGroup]:
+    """Group ascending eigenvalues at gaps above tol_group, largest group first.
+
+    Column i of vectors is the eigenvector of values[i] in coordinates where
+    the all-ones vector is weights; a group is main iff the projection of
+    weights onto the group's columns has norm above tol_main.
+    """
+    for name, tol in (("tol_group", tol_group), ("tol_main", tol_main)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    groups = []
+    for start, stop in _group_indices(values, tol_group):
+        norm = float(np.linalg.norm(vectors[:, start:stop].T @ weights))
+        groups.append(
+            SpectrumGroup(
+                value=float(np.mean(values[start:stop])),
+                multiplicity=stop - start,
+                main=norm > tol_main,
+                projection_norm=norm,
+            )
+        )
+    groups.reverse()  # descending by value, largest (Perron) first
+    return groups
+
+
+def _report(
+    n: int,
+    values: np.ndarray,
+    vectors: np.ndarray,
+    weights: np.ndarray,
+    tol_group: float,
+    tol_main: float,
+    route: str,
+) -> QSpectrumReport:
+    groups = _grouped(values, vectors, weights, tol_group, tol_main)
+    return QSpectrumReport(
+        n=n,
+        groups=tuple(groups),
+        main_count=sum(1 for grp in groups if grp.main),
+        tol_group=tol_group,
+        tol_main=tol_main,
+        route=route,
+    )
+
+
 def q_spectrum(
     g: Graph, tol_group: float | None = None, tol_main: float | None = None
 ) -> QSpectrumReport:
@@ -191,7 +241,9 @@ def q_spectrum(
 
     Eigenvalues within tol_group of their neighbor are one group; per the
     pairwise-distinct convention each group gets one main flag, set iff the
-    all-ones projection onto the grouped eigenspace exceeds tol_main.
+    all-ones projection onto the grouped eigenspace exceeds tol_main. This is
+    the dense route: it eigensolves the n x n matrix Q and serves as the
+    independent check of q_spectrum_cotree.
     """
     q = signless_laplacian(g)
     if tol_group is None:
@@ -199,27 +251,36 @@ def q_spectrum(
     if tol_main is None:
         tol_main = default_tol_main(g.n)
     dec = jacobi_eigh(q)
-    ones = np.ones(g.n)
-    groups = []
-    for start, stop in _group_indices(dec.values, tol_group):
-        coeffs = dec.vectors[:, start:stop].T @ ones
-        norm = float(np.linalg.norm(coeffs))
-        groups.append(
-            SpectrumGroup(
-                value=float(np.mean(dec.values[start:stop])),
-                multiplicity=stop - start,
-                main=norm > tol_main,
-                projection_norm=norm,
-            )
-        )
-    groups.reverse()  # descending by value, largest (Perron) first
-    return QSpectrumReport(
-        n=g.n,
-        groups=tuple(groups),
-        main_count=sum(1 for grp in groups if grp.main),
-        tol_group=tol_group,
-        tol_main=tol_main,
-    )
+    return _report(g.n, dec.values, dec.vectors, np.ones(g.n), tol_group, tol_main, "dense")
+
+
+def q_spectrum_cotree(
+    t: Cotree, tol_group: float | None = None, tol_main: float | None = None
+) -> QSpectrumReport:
+    """The report of q_spectrum for the graph of t, computed from its bags.
+
+    Inside a bag of t leaves, the t - 1 twin differences e_u - e_v are
+    Q-eigenvectors with eigenvalue p - 1 (J-bag) or p (U-bag), all orthogonal
+    to the all-ones vector. On the bag-constant complement Q acts as the
+    condensed matrix C, with the weight vector s in place of the all-ones
+    vector. So spec(Q) = spec(C) plus each bag's twin value t - 1 times, and
+    only C's eigenvectors carry projection norm. The defaults equal the dense
+    ones: the infinity norm of Q is twice the largest degree.
+    """
+    b = bags(t)
+    c = condensed(b)
+    n = b.n
+    if tol_group is None:
+        tol_group = 1e-7 * max(1.0, float(2 * max(bag.p for bag in b.bags)))
+    if tol_main is None:
+        tol_main = default_tol_main(n)
+    dec = jacobi_eigh(c.entries)
+    twins = [bag.p - 1 if bag.kind == JOIN else bag.p for bag in b.bags for _ in range(bag.t - 1)]
+    values = np.concatenate([dec.values, np.array(twins, dtype=float)])
+    # twin eigenvectors are orthogonal to the all-ones vector: zero columns
+    vectors = np.hstack([dec.vectors, np.zeros((b.r, len(twins)))])
+    order = np.argsort(values, kind="stable")
+    return _report(n, values[order], vectors[:, order], c.weights, tol_group, tol_main, "cotree")
 
 
 def main_count(g: Graph) -> int:
@@ -278,13 +339,8 @@ def main_eigs_condensed(
     if tol_main is None:
         tol_main = default_tol_main(int(round(float(np.sum(c.weights**2)))))
     dec = jacobi_eigh(c.entries)
-    out = []
-    for start, stop in _group_indices(dec.values, tol_group):
-        coeffs = dec.vectors[:, start:stop].T @ c.weights
-        norm = float(np.linalg.norm(coeffs))
-        out.append((float(np.mean(dec.values[start:stop])), norm > tol_main))
-    out.reverse()
-    return out
+    groups = _grouped(dec.values, dec.vectors, c.weights, tol_group, tol_main)
+    return [(grp.value, grp.main) for grp in groups]
 
 
 def algebraic_connectivity(g: Graph) -> float:

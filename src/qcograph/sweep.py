@@ -8,7 +8,7 @@ from itertools import product
 from .cotree import bags
 from .families import FAMILY_PARAMS, FamilySpec, build
 from .recognition import classify
-from .spectra import q_spectrum
+from .spectra import q_spectrum_cotree
 
 __all__ = ["SWEEP_CAP", "sweep", "sweep_to_csv"]
 
@@ -58,7 +58,7 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
         start = time.perf_counter()
         spec = FamilySpec.make(family, **dict(zip(names, values)))
         t, g = build(spec)
-        rep = q_spectrum(g)
+        rep = q_spectrum_cotree(t)
         width = bags(t).r
         report = classify(g)
         ms = (time.perf_counter() - start) * 1000.0

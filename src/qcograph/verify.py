@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterator
 
-from .cotree import bags, parse, to_graph
+from .cotree import JOIN, Internal, Leaf, bags, normalize, parse, to_graph
 from .enumeration import enumerate_cographs
-from .families import FamilySpec, build, default_grids, expected_mains
+from .families import FamilySpec, build, build_cotree, default_grids, expected_mains
 from .graph import Graph, bipartition, complement, join, union
 from .oracle import (
     mains_complete_split,
@@ -27,7 +27,7 @@ from .recognition import (
     is_regular,
     parse_generalized_core_satellite,
 )
-from .spectra import q_spectrum
+from .spectra import q_spectrum, q_spectrum_cotree
 
 __all__ = ["VerificationCase", "THEOREM_IDS", "run_verify", "cases_to_csv"]
 
@@ -235,8 +235,7 @@ def _verify_gcs_count(grid: list[FamilySpec] | None = None) -> list[Verification
     out = []
     for spec in grid if grid is not None else _gcs_grid():
         pred = predict_main_count(spec)
-        _, g = build(spec)
-        k = q_spectrum(g).main_count
+        k = q_spectrum_cotree(build_cotree(spec)).main_count
         desc = str(spec.to_json_dict())
         out.append(
             _case(
@@ -434,7 +433,7 @@ def _verify_h_families(grids: dict[str, list[FamilySpec]] | None = None) -> list
             t, g = build(spec)
             desc = str(spec.to_json_dict())
             want = expected_mains(spec)
-            rep = q_spectrum(g)
+            rep = q_spectrum_cotree(t)
             got = rep.main_values()
             dist = _set_distance(got, want) if want is not None else float("nan")
             ok = want is not None and len(got) == len(want) and dist <= VALUE_TOL
@@ -444,8 +443,8 @@ def _verify_h_families(grids: dict[str, list[FamilySpec]] | None = None) -> list
             if rep.main_count != 2:
                 continue  # join law below presumes two mains (grids ensure it)
             for c in (1, 2, 3):
-                joined = join(Graph.complete(c), g)
-                kj = q_spectrum(joined).main_count
+                k_c_join = normalize(Internal(JOIN, (Leaf(),) * c + (t,)))  # K_c joined onto t
+                kj = q_spectrum_cotree(k_c_join).main_count
                 out.append(
                     _case(
                         f"h-families[join,c={c},{desc}]",

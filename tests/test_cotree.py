@@ -7,6 +7,7 @@ from qcograph.cotree import (
     Internal,
     JOIN,
     Leaf,
+    MAX_DEPTH,
     NotCograph,
     UNION,
     bags,
@@ -21,6 +22,14 @@ from qcograph.cotree import (
 )
 from qcograph.enumeration import enumerate_cographs, enumerate_cotrees
 from qcograph.graph import Graph, induced_subgraph
+
+
+def alternating(depth: int) -> str:
+    """J(1,U(1,J(1,...))) with depth nested nodes; normalization keeps them all."""
+    s = "1"
+    for i in range(depth):
+        s = f"{'J' if (depth - i) % 2 else 'U'}(1,{s})"
+    return s
 
 
 class TestParser:
@@ -65,6 +74,14 @@ class TestParser:
     def test_rejects_trailing_garbage(self):
         with pytest.raises(CotreeSyntaxError):
             parse("J(2))")
+
+    def test_nesting_capped(self):
+        t = parse(alternating(MAX_DEPTH))
+        assert leaf_count(t) == MAX_DEPTH + 1
+        with pytest.raises(CotreeSyntaxError, match="nested deeper"):
+            parse(alternating(MAX_DEPTH + 1))
+        with pytest.raises(CotreeSyntaxError, match="nested deeper"):
+            parse(alternating(1500))
 
 
 class TestNormalize:
@@ -184,6 +201,13 @@ class TestBags:
         rep = bags(Leaf())
         assert rep.r == 1 and rep.bags[0].kind == JOIN
         assert rep.bags[0].t == 1 and rep.bags[0].p == 0
+
+    def test_repeated_subtrees(self):
+        # "3*J(...)" shares one subtree object three times
+        rep = bags(parse("U(3*J(1,U(2)), J(2))"))
+        assert [(bag.kind, bag.t, bag.p) for bag in rep.bags] == [
+            ("J", 1, 2), ("U", 2, 1), ("J", 1, 2), ("U", 2, 1), ("J", 1, 2), ("U", 2, 1), ("J", 2, 1)
+        ]
 
     def test_sizes_partition_order(self):
         for expr in ("J(1, U(J(1), J(2)))", "U(2, J(3), J(1, U(2)))"):

@@ -3,8 +3,11 @@ import json
 import pytest
 
 from qcograph.cli import main
+from qcograph.cotree import MAX_DEPTH, parse, to_graph
+from qcograph.graph import format_edge_list
 from qcograph.sweep import sweep, sweep_to_csv
 from qcograph.verify import THEOREM_IDS, cases_to_csv, run_verify
+from test_cotree import alternating
 
 
 class TestVerifySuites:
@@ -212,3 +215,80 @@ class TestCli:
         assert main(["spectrum", "--cotree", "J(3)", "--config", str(cfg), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["tolerances"]["tol_group"] == 1e-9
+
+    def test_spectrum_json_names_route(self, tmp_path, capsys):
+        path = tmp_path / "g.edges"
+        path.write_text("2 1\n0 1\n")
+        for argv, route in (
+            (["--cotree", "J(2,U(3))"], "cotree"),
+            (["--family", '{"family":"CompleteSplit","params":{"a":2,"b":3}}'], "cotree"),
+            (["--edges", str(path)], "dense"),
+        ):
+            assert main(["spectrum", *argv, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["route"] == route
+
+    def test_spectrum_table_first_line(self, capsys):
+        assert main(["spectrum", "--cotree", "J(2,U(3))"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "n = 5, main_count = 2"
+
+    @pytest.mark.parametrize("flag, value", [("--tol-group", "-1"), ("--tol-main", "nan"), ("--tol-main", "inf")])
+    @pytest.mark.parametrize("source", [["--cotree", "J(2,U(3))"], ["--family", '{"family":"Complete","params":{"n":3}}']])
+    def test_bad_tolerance_flags(self, capsys, flag, value, source):
+        assert main(["spectrum", *source, flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_bad_tolerance_flags_on_edges(self, tmp_path, capsys):
+        path = tmp_path / "g.edges"
+        path.write_text("2 1\n0 1\n")
+        assert main(["spectrum", "--edges", str(path), "--tol-group", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ['{"tol_group": -1}', '{"tol_main": NaN}', '{"tol_main": "small"}', "[1]"])
+    def test_bad_config_tolerances(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["spectrum", "--cotree", "J(2,U(3))", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_cotree_route_output_byte_identical(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert main(["spectrum", "--family", '{"family":"H6","params":{"s":3,"p1":2,"p2":1,"p3":2}}', "--json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        h_grid = {"families": {"H7": [{"s": 2, "p1": 2, "p2": 1, "p3": 2}]}}
+        gcs_grid = {"specs": [{"family": "CoreUnion", "params": {"c": 2, "a": 1, "b": 3}}]}
+        for theorem, grid in (("h-families", h_grid), ("gcs-count", gcs_grid)):
+            a = cases_to_csv(run_verify(theorem, grid=grid))
+            assert a == cases_to_csv(run_verify(theorem, grid=grid)) and "FAIL" not in a
+
+
+class TestDeepCotrees:
+    def test_too_deep_is_usage_error(self, capsys):
+        for command in ("spectrum", "classify", "condensed"):
+            assert main([command, "--cotree", alternating(1500)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "nested deeper" in err and "Traceback" not in err
+
+    @pytest.mark.slow
+    def test_deepest_accepted_runs_everywhere(self, tmp_path, capsys):
+        expr = alternating(MAX_DEPTH)
+        edges = tmp_path / "deep.edges"
+        edges.write_text(format_edge_list(to_graph(parse(expr))))
+        reports = {}
+        for argv in (["--cotree", expr], ["--edges", str(edges)]):
+            assert main(["spectrum", *argv, "--json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            reports[data["route"]] = data
+        cot, dense = reports["cotree"], reports["dense"]
+        assert cot["n"] == dense["n"] == MAX_DEPTH + 1
+        assert cot["main_count"] == dense["main_count"]
+        assert [(g["multiplicity"], g["main"]) for g in cot["groups"]] == [
+            (g["multiplicity"], g["main"]) for g in dense["groups"]
+        ]
+        assert all(abs(a["value"] - b["value"]) <= 1e-9 for a, b in zip(cot["groups"], dense["groups"]))
+        assert main(["classify", "--cotree", expr, "--json"]) == 0
+        flags = json.loads(capsys.readouterr().out)
+        assert flags["is_threshold"] and flags["is_connected"]
+        assert main(["condensed", "--cotree", expr, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["r"] == MAX_DEPTH  # the innermost node holds two leaves

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcograph.cotree import bags, from_graph, parse, to_graph
+from qcograph.cotree import JOIN, Internal, Leaf, bags, from_graph, normalize, parse, to_graph
 from qcograph.enumeration import enumerate_cographs
-from qcograph.graph import Graph, bipartition, components, induced_subgraph
+from qcograph.families import build, default_grids
+from qcograph.graph import Graph, bipartition, components, induced_subgraph, join
 from qcograph.spectra import (
     algebraic_connectivity,
     condensed,
@@ -16,6 +17,7 @@ from qcograph.spectra import (
     laplacian,
     main_eigs_condensed,
     q_spectrum,
+    q_spectrum_cotree,
     report_to_json,
     signless_laplacian,
 )
@@ -224,6 +226,68 @@ class TestCondensed:
                 cond = [v for v, f in main_eigs_condensed(condensed(bags(from_graph(g)))) if f]
                 assert len(full) == len(cond), s
                 assert full == pytest.approx(cond, abs=1e-8), s
+
+
+def assert_same_report(got, want, label):
+    """Grouping, flags and tolerances exactly; values to 1e-9."""
+    assert (got.n, got.main_count, len(got.groups)) == (want.n, want.main_count, len(want.groups)), label
+    assert (got.tol_group, got.tol_main) == (want.tol_group, want.tol_main), label
+    for a, b in zip(got.groups, want.groups):
+        assert (a.multiplicity, a.main) == (b.multiplicity, b.main), label
+        assert abs(a.value - b.value) <= 1e-9, label
+
+
+class TestCotreeRoute:
+    def test_matches_dense_on_enumeration(self, spectral_table):
+        table, _ = spectral_table
+        for s, entry in table.items():
+            rep = q_spectrum_cotree(parse(s))
+            assert rep.route == "cotree" and entry.report.route == "dense"
+            assert_same_report(rep, entry.report, s)
+
+    def test_matches_dense_on_default_grids_and_k1_joins(self):
+        for specs in default_grids().values():
+            for spec in specs:
+                t, g = build(spec)
+                label = str(spec.to_json_dict())
+                assert_same_report(q_spectrum_cotree(t), q_spectrum(g), label)
+                joined = normalize(Internal(JOIN, (Leaf(), t)))
+                assert_same_report(q_spectrum_cotree(joined), q_spectrum(join(Graph.complete(1), g)), label)
+
+    def test_twin_values_carry_no_projection(self):
+        # K_2 joined onto E_3: J-bag (t=2, p=4) gives 3 once, U-bag (t=3, p=2) gives 2 twice
+        rep = q_spectrum_cotree(parse("J(2,U(3))"))
+        twins = {(grp.value, grp.multiplicity, grp.projection_norm) for grp in rep.groups if not grp.main}
+        assert twins == {(3.0, 1, 0.0), (2.0, 2, 0.0)}
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("route", ["dense", "cotree"])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol_group": -1.0},
+            {"tol_group": math.nan},
+            {"tol_group": math.inf},
+            {"tol_main": -1e-6},
+            {"tol_main": math.nan},
+            {"tol_main": math.inf},
+        ],
+    )
+    def test_rejects_negative_or_non_finite(self, route, kwargs):
+        t = parse("J(2,U(3))")
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            if route == "dense":
+                q_spectrum(to_graph(t), **kwargs)
+            else:
+                q_spectrum_cotree(t, **kwargs)
+
+    def test_rejected_by_condensed_route(self):
+        with pytest.raises(ValueError):
+            main_eigs_condensed(condensed(bags(parse("J(2,U(3))"))), tol_main=math.nan)
+
+    def test_zero_is_accepted(self):
+        assert q_spectrum(graph_of("J(3)"), tol_group=0.0, tol_main=0.0).main_count >= 1
 
 
 class TestAlgebraicConnectivity:
