@@ -93,7 +93,8 @@ def leaf_count(t: Cotree) -> int:
 #
 # U/J nodes nest at most MAX_DEPTH deep. The parser and the tree walks after
 # it (normalize, to_graph, bags, ...) recurse once or more per level, and the
-# cap keeps them well inside Python's recursion limit.
+# cap keeps them well inside Python's recursion limit. from_graph applies the
+# same cap to graph input.
 # ---------------------------------------------------------------------------
 
 MAX_DEPTH = 256
@@ -267,24 +268,26 @@ def from_graph(g: Graph) -> Cotree:
 
     Single vertex -> leaf; disconnected -> union over components; complement
     disconnected -> join over co-components. Raises NotCograph with an
-    induced-P4 witness otherwise.
+    induced-P4 witness otherwise, and ValueError when the cotree would nest
+    deeper than MAX_DEPTH internal nodes (the parser's cap).
     """
     if g.n < 1:
         raise ValueError("from_graph requires at least one vertex")
 
-    def build(sub: Graph) -> Cotree:
+    def build(sub: Graph, depth: int) -> Cotree:
         if sub.n == 1:
             return Leaf()
-        comps = components(sub)
-        if len(comps) > 1:
-            return Internal(UNION, tuple(build(induced_subgraph(sub, c)) for c in comps))
-        cocomps = components(complement(sub))
-        if len(cocomps) > 1:
-            return Internal(JOIN, tuple(build(induced_subgraph(sub, c)) for c in cocomps))
-        raise _NoCotree
+        kind, parts = UNION, components(sub)
+        if len(parts) == 1:
+            kind, parts = JOIN, components(complement(sub))
+            if len(parts) == 1:
+                raise _NoCotree
+        if depth == MAX_DEPTH:
+            raise ValueError(f"cotree nests deeper than MAX_DEPTH = {MAX_DEPTH} levels")
+        return Internal(kind, tuple(build(induced_subgraph(sub, c), depth + 1) for c in parts))
 
     try:
-        return build(g)
+        return build(g, 0)
     except _NoCotree:
         witness = find_p4(g)
         assert witness is not None, "connected, co-connected graph must contain a P4"
@@ -293,20 +296,9 @@ def from_graph(g: Graph) -> Cotree:
 
 def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
     """First induced P4 over lexicographic 4-subsets, returned in path order."""
-    from itertools import combinations
+    from .recognition import find_induced  # deferred: recognition imports this module
 
-    adj = g.adj
-    for quad in combinations(range(g.n), 4):
-        sub = [[bool(adj[u][v]) for v in quad] for u in quad]
-        degs = [sum(row) for row in sub]
-        if sorted(degs) != [1, 1, 2, 2]:
-            continue
-        # 4 vertices, 3 edges, degrees (1,1,2,2): necessarily a path
-        a, d = (i for i in range(4) if degs[i] == 1)
-        b = next(i for i in range(4) if sub[a][i])
-        c = next(i for i in range(4) if sub[b][i] and i != a)
-        return (quad[a], quad[b], quad[c], quad[d])
-    return None
+    return find_induced(g, "P4")
 
 
 def complement_cotree(t: Cotree) -> Cotree:

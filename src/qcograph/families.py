@@ -28,7 +28,6 @@ __all__ = [
     "build",
     "build_cotree",
     "expected_mains",
-    "as_core_satellite",
     "default_grid",
     "default_grids",
 ]
@@ -232,26 +231,6 @@ def build(spec: FamilySpec) -> tuple[Cotree, Graph]:
     """Canonical cotree and its graph."""
     t = build_cotree(spec)
     return t, to_graph(t)
-
-
-def as_core_satellite(spec: FamilySpec) -> tuple[int, tuple[tuple[int, int], ...]] | None:
-    """Core order and (count, order) satellite classes when the family has
-    generalized core-satellite shape, else None."""
-    f = spec.family
-    if f == "GeneralizedCoreSatellite":
-        return spec["n0"], tuple(spec["satellites"])
-    if f == "CompleteSplit":
-        return spec["a"], ((spec["b"], 1),)
-    if f == "CoreUnion":
-        if spec["a"] == spec["b"]:
-            return spec["c"], ((2, spec["a"]),)
-        lo, hi = sorted((spec["a"], spec["b"]))
-        return spec["c"], ((1, lo), (1, hi))
-    if f == "CoreSatellite":
-        return spec["c"], ((spec["t"], spec["a"]),)
-    if f == "Windmill":
-        return 1, ((spec["t"], spec["a"]),)
-    return None
 
 
 def expected_mains(spec: FamilySpec) -> list[float] | None:

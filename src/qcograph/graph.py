@@ -12,9 +12,15 @@ __all__ = [
     "induced_subgraph",
     "components",
     "bipartition",
+    "MAX_EDGE_LIST_N",
     "parse_edge_list",
     "format_edge_list",
 ]
+
+# Largest n parse_edge_list accepts. Its n x n adjacency is allocated before
+# any edge is read, and at this order the dense Q and the Jacobi eigenvector
+# matrix take 128 MiB each.
+MAX_EDGE_LIST_N = 4096
 
 
 class Graph:
@@ -188,7 +194,8 @@ def bipartition(g: Graph) -> VertexPartition | None:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line "n m", then m lines "u v" with u < v.
 
-    Rejects self-loops, duplicate edges, reversed or out-of-range endpoints.
+    Rejects self-loops, duplicate edges, reversed or out-of-range endpoints,
+    and n above MAX_EDGE_LIST_N.
     """
     lines = [ln for ln in text.splitlines()]
     stripped = [(i, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
@@ -203,6 +210,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ValueError(f"line {stripped[0][0] + 1}: header must be two integers") from None
     if n < 0 or m < 0:
         raise ValueError("n and m must be non-negative")
+    if n > MAX_EDGE_LIST_N:
+        raise ValueError(f"n = {n} exceeds the edge-list limit of {MAX_EDGE_LIST_N} vertices")
     body = stripped[1:]
     if len(body) != m:
         raise ValueError(f"expected {m} edge lines, found {len(body)}")

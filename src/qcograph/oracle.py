@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from .graph import Graph, bipartition, complement, components, induced_subgraph
 from .recognition import (
     NotApplicable,
-    classify,
     is_complete,
     is_connected,
+    is_quasi_threshold,
     is_regular,
     parse_generalized_core_satellite,
     universal_vertices,
@@ -157,10 +157,6 @@ class MainCountPrediction:
 def _predict_from_satellites(n0: int, satellites: tuple[tuple[int, int], ...]) -> MainCountPrediction:
     p = len(satellites)
     total = sum(a for a, _ in satellites)
-    if p == 1 and total == 1:
-        return MainCountPrediction(
-            k=1, rule="CompleteGraph", premises=f"K_{n0} with one satellite K_{satellites[0][1]} is complete"
-        )
     if p == 1:
         a = satellites[0]
         return MainCountPrediction(
@@ -193,19 +189,14 @@ def predict_main_count(obj) -> MainCountPrediction:
        exact only when complement(h) is connected;
     6. otherwise only the cotree-width bound is asserted.
     """
-    from .families import FamilySpec, as_core_satellite, build  # deferred: families imports this module
+    from .families import FamilySpec, build  # deferred: families imports this module
 
     if isinstance(obj, FamilySpec):
         if obj.family in ("Complete", "Empty"):
             n = obj["n"]
             rule = "CompleteGraph" if obj.family == "Complete" else "Regular"
             return MainCountPrediction(k=1, rule=rule, premises=f"{obj.family}({n}) is regular")
-        params = as_core_satellite(obj)
-        if params is not None:
-            n0, satellites = params
-            return _predict_from_satellites(n0, satellites)
-        _, g = build(obj)
-        return _predict_graph(g)
+        obj = build(obj)[1]
     if isinstance(obj, Graph):
         return _predict_graph(obj)
     raise TypeError(f"expected Graph or FamilySpec, got {type(obj)!r}")
@@ -282,10 +273,8 @@ def predict_two_main_forms(g: Graph) -> FormA | FormB | None:
         raise NotApplicable("empty graph")
     if not is_connected(g):
         raise NotApplicable("graph is disconnected")
-    if not classify(g).is_quasi_threshold:
+    if not is_quasi_threshold(g):
         raise NotApplicable("graph is not quasi-threshold")
-    if is_complete(g):
-        return None  # exactly one main eigenvalue
     sat = parse_generalized_core_satellite(g)
     if sat is None:
         return None

@@ -17,6 +17,7 @@ __all__ = [
     "find_induced",
     "perfect_elimination_ordering",
     "is_chordal",
+    "is_quasi_threshold",
     "is_regular",
     "is_complete",
     "is_connected",
@@ -132,6 +133,18 @@ def perfect_elimination_ordering(g: Graph) -> list[int] | None:
 
 def is_chordal(g: Graph) -> bool:
     return perfect_elimination_ordering(g) is not None
+
+
+def is_quasi_threshold(g: Graph) -> bool:
+    """Chordal cograph: ``classify``'s flag without its witness search, 2K2
+    scan and other flags. Non-chordal input skips the cotree recursion."""
+    if not is_chordal(g):
+        return False
+    try:
+        from_graph(g)
+    except NotCograph:
+        return False
+    return True
 
 
 def is_regular(g: Graph) -> bool:
@@ -323,8 +336,7 @@ def universal_clique_decomposition(g: Graph) -> UniversalCliqueDecomposition:
         raise NotApplicable("graph is complete")
     if not is_connected(g):
         raise NotApplicable("graph is disconnected")
-    report = classify(g)
-    if not report.is_quasi_threshold:
+    if not is_quasi_threshold(g):
         raise NotApplicable("graph is not quasi-threshold")
     clique = universal_vertices(g)
     if not clique:
@@ -361,21 +373,22 @@ class SatelliteSpec:
 def parse_generalized_core_satellite(g: Graph) -> SatelliteSpec | None:
     """Recognize K_{n0} joined with a union of complete satellites.
 
-    Returns None for complete graphs (a one-satellite reading is rejected),
-    for disconnected or non-quasi-threshold input, and whenever some
-    component of the remainder is not complete.
+    The core is the set of universal vertices; every component of the rest
+    must be complete. Returns None otherwise: for graphs without a universal
+    vertex (disconnected ones among them), for complete graphs (a
+    one-satellite reading is rejected), and whenever some component of the
+    remainder is not complete. Every graph recognized is quasi-threshold.
     """
-    if g.n < 2 or not is_connected(g) or is_complete(g):
+    core = universal_vertices(g)
+    if not core or len(core) == g.n:
         return None
-    try:
-        dec = universal_clique_decomposition(g)
-    except NotApplicable:
-        return None
+    core_set = set(core)
+    h = induced_subgraph(g, [v for v in range(g.n) if v not in core_set])
+    degs = h.degrees()
     orders: dict[int, int] = {}
-    for block in components(dec.h):
-        part = induced_subgraph(dec.h, block)
-        if not is_complete(part):
+    for block in components(h):
+        if any(degs[v] != len(block) - 1 for v in block):
             return None
-        orders[part.n] = orders.get(part.n, 0) + 1
+        orders[len(block)] = orders.get(len(block), 0) + 1
     satellites = tuple(sorted(((count, order) for order, count in orders.items()), key=lambda x: x[1]))
-    return SatelliteSpec(n0=dec.c, satellites=satellites)
+    return SatelliteSpec(n0=len(core), satellites=satellites)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +32,11 @@ def alternating(depth: int) -> str:
     for i in range(depth):
         s = f"{'J' if (depth - i) % 2 else 'U'}(1,{s})"
     return s
+
+
+def threshold_chain(n: int) -> Graph:
+    """Vertex v joined to every earlier vertex when v is odd: n - 1 nested cotree nodes."""
+    return Graph.from_edges(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
 
 
 class TestParser:
@@ -175,6 +182,26 @@ class TestFromGraph:
         a, b, c, d = exc.value.witness
         assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
         assert not (g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, d))
+
+
+    def test_witness_is_first_induced_p4(self):
+        from qcograph.recognition import find_induced
+
+        rng = random.Random(9)
+        seen = 0
+        while seen < 100:
+            n = rng.randint(4, 9)
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            try:
+                from_graph(g)
+            except NotCograph as exc:
+                assert exc.witness == find_induced(g, "P4")
+                seen += 1
+
+    def test_depth_capped(self):
+        assert leaf_count(from_graph(threshold_chain(MAX_DEPTH + 1))) == MAX_DEPTH + 1
+        with pytest.raises(ValueError, match="MAX_DEPTH"):
+            from_graph(threshold_chain(MAX_DEPTH + 2))
 
 
 class TestBags:

@@ -4,10 +4,10 @@ import pytest
 
 from qcograph.cli import main
 from qcograph.cotree import MAX_DEPTH, parse, to_graph
-from qcograph.graph import format_edge_list
+from qcograph.graph import MAX_EDGE_LIST_N, format_edge_list
 from qcograph.sweep import sweep, sweep_to_csv
 from qcograph.verify import THEOREM_IDS, cases_to_csv, run_verify
-from test_cotree import alternating
+from test_cotree import alternating, threshold_chain
 
 
 class TestVerifySuites:
@@ -68,6 +68,22 @@ class TestVerifySuites:
     def test_max_n_rejected_where_meaningless(self):
         with pytest.raises(ValueError, match="--max-n"):
             run_verify("spectra-closed-forms", max_n=5)
+
+    def test_max_n_suites_from_signatures(self, capsys):
+        from qcograph.verify import _MAX_N_SUITES
+
+        assert _MAX_N_SUITES == {
+            "width-bound",
+            "complement-invariance",
+            "zero-main-union",
+            "two-main-characterization",
+            "join-kc",
+            "kappa-eq-a",
+            "regular-chordal-complete",
+            "nonmain-multiplicities",
+        }
+        assert main(["verify", "--theorem", "gcs-count", "--max-n", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_join_kc_reports_both_forms(self):
         # the bipartite phrasing has true counterexamples (first at n=4: the
@@ -261,6 +277,22 @@ class TestCli:
         for theorem, grid in (("h-families", h_grid), ("gcs-count", gcs_grid)):
             a = cases_to_csv(run_verify(theorem, grid=grid))
             assert a == cases_to_csv(run_verify(theorem, grid=grid)) and "FAIL" not in a
+
+
+class TestBadEdgeLists:
+    def test_too_deep_is_usage_error(self, tmp_path, capsys):
+        edges = tmp_path / "threshold600.edges"
+        edges.write_text(format_edge_list(threshold_chain(600)))
+        assert main(["classify", "--edges", str(edges)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "MAX_DEPTH" in err and err.count("\n") == 1
+
+    def test_order_above_cap_is_usage_error(self, tmp_path, capsys):
+        edges = tmp_path / "big.edges"
+        edges.write_text(f"{MAX_EDGE_LIST_N + 1} 0\n")
+        assert main(["spectrum", "--edges", str(edges)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(MAX_EDGE_LIST_N) in err
 
 
 class TestDeepCotrees:

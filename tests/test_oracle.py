@@ -143,6 +143,23 @@ class TestPredictMainCount:
         assert predict_main_count(FamilySpec.make("CoreSatellite", c=2, t=1, a=3)).k == 1
         assert predict_main_count(FamilySpec.make("Empty", n=4)).rule == "Regular"
 
+    def test_spec_agrees_with_built_graph(self):
+        from qcograph.families import build, default_grids
+        from qcograph.verify import _gcs_grid  # the criterion-5 grid
+
+        specs = _gcs_grid() + [spec for grid in default_grids().values() for spec in grid]
+        for a in range(1, 4):
+            for b in range(1, 4):
+                specs.append(FamilySpec.make("CompleteSplit", a=a, b=b))
+                specs.append(FamilySpec.make("Windmill", t=a, a=b))
+                for c in range(1, 3):
+                    specs.append(FamilySpec.make("CoreUnion", c=c, a=a, b=b))
+                    specs.append(FamilySpec.make("CoreSatellite", c=c, t=a, a=b))
+        for spec in specs:
+            by_spec = predict_main_count(spec)
+            by_graph = predict_main_count(build(spec)[1])
+            assert (by_spec.k, by_spec.rule) == (by_graph.k, by_graph.rule), spec
+
     def test_join_rule(self):
         # K_2 joined onto the union of a triangle and an edge plus C4's complement...
         # use K_1 join C5-free cograph: J(1, J(U(2),U(2))) has a universal vertex

@@ -6,7 +6,7 @@ import pytest
 
 from qcograph.cotree import parse, to_graph
 from qcograph.enumeration import enumerate_cographs
-from qcograph.graph import Graph, components, induced_subgraph, join
+from qcograph.graph import Graph, components, induced_subgraph, join, union
 from qcograph.recognition import (
     NotApplicable,
     classify,
@@ -14,6 +14,8 @@ from qcograph.recognition import (
     find_induced,
     is_chordal,
     is_complete,
+    is_connected,
+    is_quasi_threshold,
     is_regular,
     parse_generalized_core_satellite,
     perfect_elimination_ordering,
@@ -241,7 +243,57 @@ class TestUniversalCliqueDecomposition:
             assert rebuilt == relabeled, s
 
 
+class TestIsQuasiThreshold:
+    def test_matches_classify(self):
+        rng = random.Random(11)
+        graphs = [graph_of(s) for n in range(1, 8) for s in enumerate_cographs(n).strings]
+        graphs += [random_graph(rng, rng.randint(1, 8)) for _ in range(200)]
+        for g in graphs:
+            assert is_quasi_threshold(g) == classify(g).is_quasi_threshold
+
+
+def reference_core_satellite(g):
+    """The parser's former route: QT check, universal-clique split, then
+    every component of the remainder complete."""
+    if g.n < 2 or not is_connected(g) or is_complete(g) or not classify(g).is_quasi_threshold:
+        return None
+    dec = universal_clique_decomposition(g)
+    orders = {}
+    for block in components(dec.h):
+        if not is_complete(induced_subgraph(dec.h, block)):
+            return None
+        orders[len(block)] = orders.get(len(block), 0) + 1
+    return dec.c, tuple(sorted(((count, order) for order, count in orders.items()), key=lambda x: x[1]))
+
+
 class TestParseGeneralizedCoreSatellite:
+    @staticmethod
+    def _parsed(g):
+        sat = parse_generalized_core_satellite(g)
+        return None if sat is None else (sat.n0, sat.satellites)
+
+    def test_matches_reference_on_enumeration(self):
+        for n in range(1, 10):
+            for s in enumerate_cographs(n).strings:
+                g = graph_of(s)
+                assert self._parsed(g) == reference_core_satellite(g), s
+
+    def test_matches_reference_on_kc_joins(self):
+        rng = random.Random(3)
+        recognized = 0
+        for _ in range(300):
+            if rng.random() < 0.5:
+                h = random_graph(rng, rng.randint(1, 8))
+            else:  # a union of cliques, so that the join parses
+                h = Graph.complete(rng.randint(1, 3))
+                for _ in range(rng.randint(0, 3)):
+                    h = union(h, Graph.complete(rng.randint(1, 3)))
+            g = join(Graph.complete(rng.randint(1, 3)), h)
+            want = reference_core_satellite(g)
+            assert self._parsed(g) == want
+            recognized += want is not None
+        assert recognized > 50
+
     def test_two_order_classes(self):
         g = graph_of("J(1, U(J(2), 2*J(3)))")
         spec = parse_generalized_core_satellite(g)
