@@ -53,6 +53,8 @@ def _load_config(path: str | None) -> dict:
     for key in ("tol_group", "tol_main"):
         if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float))):
             raise UsageError(f"config {key} must be a number, got {cfg[key]!r}")
+    if "sweep_cap" in cfg and (isinstance(cfg["sweep_cap"], bool) or not isinstance(cfg["sweep_cap"], int)):
+        raise UsageError(f"config sweep_cap must be an integer, got {cfg['sweep_cap']!r}")
     return cfg
 
 
@@ -155,7 +157,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     pattern = _load_json_arg(args.family)
-    header, rows = sweep(pattern, cap=int(cfg.get("sweep_cap", SWEEP_CAP)))
+    header, rows = sweep(pattern, cap=cfg.get("sweep_cap", SWEEP_CAP))
     text = sweep_to_csv(header, rows)
     if args.out:
         Path(args.out).write_text(text)

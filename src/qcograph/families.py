@@ -1,24 +1,17 @@
 """Constructors for every named graph family, as cotrees plus graphs.
 
-Each family builds a canonical cotree and its graph in one call, so callers
-can use either the condensed or the full spectral path without re-derivation.
+Each family is one row of ``_FAMILIES``: its parameters and their clauses, its
+cotree, its closed-form main eigenvalues and its default verification grid.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
+from typing import Callable, Sequence
 
-from .cotree import (
-    Cotree,
-    Internal,
-    JOIN,
-    Leaf,
-    UNION,
-    canonicalize,
-    normalize,
-    to_graph,
-)
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, canonicalize, normalize, to_graph
 from .graph import Graph
 from . import oracle
 
@@ -32,28 +25,6 @@ __all__ = [
     "default_grids",
 ]
 
-# parameter names, in declaration order, per family
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "Complete": ("n",),
-    "Empty": ("n",),
-    "CompleteSplit": ("a", "b"),
-    "BipartiteJoin": ("a", "b"),
-    "CoreUnion": ("c", "a", "b"),
-    "CoreSatellite": ("c", "t", "a"),
-    "Windmill": ("t", "a"),
-    "GeneralizedCoreSatellite": ("n0", "satellites"),
-    "H1": ("a", "b", "p"),
-    "H2": ("a", "b", "p"),
-    "H2p": ("b", "p"),
-    "H2pp": ("b", "p1", "p2"),
-    "H3": ("s", "a1", "a2", "p"),
-    "H4": ("a", "p1", "p2"),
-    "H5": ("a", "p1", "p2", "p3"),
-    "H6": ("s", "p1", "p2", "p3"),
-    "H7": ("s", "p1", "p2", "p3"),
-    "H8": ("s", "p1", "p2", "p3"),
-}
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -64,23 +35,24 @@ class FamilySpec:
 
     @classmethod
     def make(cls, family: str, **params) -> "FamilySpec":
-        if family not in FAMILY_PARAMS:
+        row = _FAMILIES.get(family)
+        if row is None:
             raise ValueError(f"unknown family {family!r}")
-        names = FAMILY_PARAMS[family]
+        names = row.params
         missing = [p for p in names if p not in params]
         extra = [p for p in params if p not in names]
         if missing or extra:
             raise ValueError(
                 f"{family} takes parameters {list(names)}; missing {missing}, unexpected {extra}"
             )
-        if family == "GeneralizedCoreSatellite":
-            sats = tuple(tuple(int(x) for x in pair) for pair in params["satellites"])
-            params = {"n0": int(params["n0"]), "satellites": sats}
-        else:
-            params = {k: int(v) for k, v in params.items()}
-        spec = cls(family=family, params=tuple((k, params[k]) for k in names))
-        _validate(spec)
-        return spec
+        values = {
+            k: _satellites(family, params[k]) if k == "satellites" else _integer(family, k, params[k])
+            for k in names
+        }
+        clause = _broken_clause(row, values)
+        if clause is not None:
+            raise ValueError(f"{family}: parameter invariant violated: {clause}")
+        return cls(family=family, params=tuple(values.items()))
 
     def __getitem__(self, name: str):
         for k, v in self.params:
@@ -93,9 +65,10 @@ class FamilySpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FamilySpec":
-        if not isinstance(data, dict) or "family" not in data:
+        params = data.get("params", {}) if isinstance(data, dict) else None
+        if not isinstance(params, dict) or not isinstance(data.get("family"), str):
             raise ValueError('family spec must look like {"family": ..., "params": {...}}')
-        return cls.make(data["family"], **data.get("params", {}))
+        return cls.make(data["family"], **params)
 
     def to_json_dict(self) -> dict:
         params = {
@@ -105,43 +78,31 @@ class FamilySpec:
         return {"family": self.family, "params": params}
 
 
-def _require(cond: bool, family: str, clause: str) -> None:
-    if not cond:
-        raise ValueError(f"{family}: parameter invariant violated: {clause}")
+def _integer(family: str, name: str, value) -> int:
+    """The parameter as an int, where it is one exactly (3 or 3.0, not 2.7, "3" or true)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{family}: parameter {name} must be an integer, got {value!r}")
 
 
-def _validate(spec: FamilySpec) -> None:
-    f = spec.family
-    for name, value in spec.params:
-        if name == "satellites":
-            _require(len(value) >= 1, f, "at least one satellite class")
-            for a, n in value:
-                _require(a >= 1 and n >= 1, f, "satellite counts and orders >= 1")
-            orders = [n for _, n in value]
-            _require(len(set(orders)) == len(orders), f, "satellite orders pairwise distinct")
-        else:
-            _require(isinstance(value, int) and value >= 1, f, f"{name} >= 1")
-    if f == "H1":
-        _require(spec["b"] >= 2, f, "b >= 2")
-    elif f == "H2":
-        # a=1 is accepted and coincides with H2p(b, p)
-        _require(spec["b"] >= 2, f, "b >= 2")
-        _require(spec["p"] >= 2, f, "p >= 2")
-    elif f == "H2p":
-        _require(spec["b"] >= 2, f, "b >= 2")
-        _require(spec["p"] >= 2, f, "p >= 2")
-    elif f == "H2pp":
-        _require(spec["b"] >= 2, f, "b >= 2")
-        _require(spec["p1"] >= 2 or spec["p2"] >= 2, f, "p1 >= 2 or p2 >= 2")
-    elif f == "H3":
-        _require(spec["p"] >= 2, f, "p >= 2")
-        _require(spec["a1"] >= 2 or spec["a2"] >= 2, f, "a1 >= 2 or a2 >= 2")
-    elif f in ("H4", "H5"):
-        _require(spec["a"] >= 2, f, "a >= 2")
-    elif f == "H6":
-        _require(spec["s"] % 2 == 1, f, "s odd")
-    elif f in ("H7", "H8"):
-        _require(spec["s"] % 2 == 0, f, "s even")
+def _satellites(family: str, value) -> tuple[tuple[int, int], ...]:
+    try:
+        pairs = [(count, order) for count, order in value]
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{family}: parameter satellites must be a list of [count, order] pairs, got {value!r}"
+        ) from None
+    return tuple((_integer(family, "satellites", a), _integer(family, "satellites", n)) for a, n in pairs)
+
+
+def _broken_clause(row: "_Family", params: dict) -> str | None:
+    """The first clause broken: an integer parameter below 1, then the row's own."""
+    for name, value in params.items():
+        if name != "satellites" and value < 1:
+            return f"{name} >= 1"
+    return next((text for text, holds in row.clauses if not holds(params)), None)
 
 
 def _K(n: int) -> Cotree:
@@ -161,70 +122,185 @@ def _star(b: int) -> Cotree:
     return _node(JOIN, [Leaf(), _E(b)])
 
 
+def _core(c: int, orders: list[int]) -> Cotree:
+    """K_c joined with the disjoint union of cliques of the given orders."""
+    return _node(JOIN, [_K(c), _node(UNION, [_K(a) for a in orders])])
+
+
+def _tiered(block: Cotree, x: int, y: int, p1: int, p2: int, p3: int) -> Cotree:
+    """p1 copies of block, p2 copies of K_x and p3 copies of K_y (H6, H7, H8)."""
+    return _node(UNION, [block] * p1 + [_K(x)] * p2 + [_K(y)] * p3)
+
+
+def _pair_mains(c: int, a: int, b: int) -> list[float]:
+    """Mains of K_c joined with K_a u K_b."""
+    if a == b:
+        return list(oracle.mains_core_satellite_pair(c, a))
+    return list(oracle.mains_core_union(c, a, b)[0])
+
+
+def _satellite_mains(c: int, t: int, a: int) -> list[float] | None:
+    """Mains of K_c joined with t copies of K_a (complete at t = 1; unknown for t >= 3)."""
+    if t == 1:
+        return [float(2 * (c + a) - 2)]
+    if t == 2:
+        return _pair_mains(c, a, a)
+    return None
+
+
+_Clause = tuple[str, Callable[[dict], bool]]
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A family's parameter names (in declaration order); its (text, holds)
+    clauses beyond each integer parameter being >= 1; its cotree and
+    closed-form mains (descending, or None), both taking the parameters as
+    keywords; and its default grid, one axis per parameter, without the
+    points that break a clause or that `trim` names."""
+
+    params: tuple[str, ...]
+    cotree: Callable[..., Cotree]
+    mains: Callable[..., list[float] | None]
+    clauses: tuple[_Clause, ...] = ()
+    grid: tuple[Sequence, ...] | None = None
+    trim: Callable[[dict], bool] | None = None
+
+
+def _at_least_2(name: str) -> _Clause:
+    return f"{name} >= 2", lambda p: p[name] >= 2
+
+
+# The criterion-5 grid: cores K_1..K_3 with one to three satellite classes of
+# distinct orders 1..4, each class holding 1..3 satellites.
+_GCS_SATELLITES = tuple(
+    tuple(zip(counts, orders))
+    for size in (1, 2, 3)
+    for orders in combinations((1, 2, 3, 4), size)
+    for counts in product((1, 2, 3), repeat=size)
+)
+
+# H grids: p-style parameters run over {1,2,3} and sizes over small ranges,
+# so that every grid point lies where the family's stated mains hold. H4
+# starts at a=3: at a=2 the family collapses to copies of K_2 (the star
+# blocks need 2a-3 >= 2). H6/H7/H8 use p_i in {1,2}; sizes there grow fast
+# and {1,2} already covers the single/multiple-copy distinction.
+_P3 = range(1, 4)
+_P2 = (1, 2)
+
+
+_FAMILIES: dict[str, _Family] = {
+    "Complete": _Family(("n",), lambda n: _K(n), lambda n: [float(2 * n - 2)]),
+    "Empty": _Family(("n",), lambda n: _E(n), lambda n: [0.0]),
+    "CompleteSplit": _Family(
+        ("a", "b"),
+        lambda a, b: _node(JOIN, [_K(a), _E(b)]),
+        lambda a, b: [float(2 * a)] if b == 1 else list(oracle.mains_complete_split(a, b)),  # b=1: K_{a+1}
+    ),
+    "BipartiteJoin": _Family(
+        ("a", "b"),
+        lambda a, b: _node(JOIN, [_E(a), _E(b)]),
+        lambda a, b: [float(2 * a)] if a == b else [float(a + b), 0.0],
+    ),
+    "CoreUnion": _Family(("c", "a", "b"), lambda c, a, b: _core(c, [a, b]), _pair_mains),
+    "CoreSatellite": _Family(("c", "t", "a"), lambda c, t, a: _core(c, [a] * t), _satellite_mains),
+    "Windmill": _Family(("t", "a"), lambda t, a: _core(1, [a] * t), lambda t, a: _satellite_mains(1, t, a)),
+    "GeneralizedCoreSatellite": _Family(
+        ("n0", "satellites"),
+        lambda n0, satellites: _core(n0, [order for count, order in satellites for _ in range(count)]),
+        lambda n0, satellites: None,
+        clauses=(
+            ("at least one satellite class", lambda p: len(p["satellites"]) >= 1),
+            ("satellite counts and orders >= 1", lambda p: all(min(pair) >= 1 for pair in p["satellites"])),
+            (
+                "satellite orders pairwise distinct",
+                lambda p: len({n for _, n in p["satellites"]}) == len(p["satellites"]),
+            ),
+        ),
+        grid=((1, 2, 3), _GCS_SATELLITES),
+    ),
+    "H1": _Family(
+        ("a", "b", "p"),
+        lambda a, b, p: _node(UNION, [_E(a)] + [_K(b)] * p),
+        lambda a, b, p: [float(2 * b - 2), 0.0],
+        clauses=(_at_least_2("b"),),
+        grid=(range(1, 6), range(2, 6), _P3),
+        # K_1 u K_b is a union of two complete graphs: a clique joined onto it gives two mains, not three
+        trim=lambda p: p["a"] == 1 and p["p"] == 1,
+    ),
+    "H2": _Family(
+        ("a", "b", "p"),  # a=1 is accepted and coincides with H2p(b, p)
+        lambda a, b, p: _node(UNION, [_node(JOIN, [_K(a), _E(b)])] * p),
+        lambda a, b, p: list(oracle.mains_complete_split(a, b)),
+        clauses=(_at_least_2("b"), _at_least_2("p")),
+        grid=(range(2, 6), range(2, 6), range(2, 4)),
+    ),
+    "H2p": _Family(
+        ("b", "p"),
+        lambda b, p: _node(UNION, [_star(b)] * p),
+        lambda b, p: [float(1 + b), 0.0],
+        clauses=(_at_least_2("b"), _at_least_2("p")),
+        grid=(range(2, 6), range(2, 4)),
+    ),
+    "H2pp": _Family(
+        ("b", "p1", "p2"),
+        lambda b, p1, p2: _node(UNION, [_E(p1)] + [_star(b)] * p2),
+        lambda b, p1, p2: [float(1 + b), 0.0],
+        clauses=(_at_least_2("b"), ("p1 >= 2 or p2 >= 2", lambda p: p["p1"] >= 2 or p["p2"] >= 2)),
+        grid=(range(2, 6), _P3, _P3),
+    ),
+    "H3": _Family(
+        ("s", "a1", "a2", "p"),
+        lambda s, a1, a2, p: _node(UNION, [_core(s, [a1, a2])] * p),
+        lambda s, a1, a2, p: _pair_mains(s, a1, a2),
+        clauses=(_at_least_2("p"), ("a1 >= 2 or a2 >= 2", lambda p: p["a1"] >= 2 or p["a2"] >= 2)),
+        grid=(range(1, 4), range(1, 5), range(1, 5), range(2, 4)),
+    ),
+    "H4": _Family(
+        ("a", "p1", "p2"),
+        lambda a, p1, p2: _node(UNION, [_K(a)] * p1 + [_star(2 * a - 3)] * p2),
+        lambda a, p1, p2: [2.0] if a == 2 else [float(2 * a - 2), 0.0],  # a=2: every block is K_2
+        clauses=(_at_least_2("a"),),
+        grid=(range(3, 6), _P3, _P3),
+    ),
+    "H5": _Family(
+        ("a", "p1", "p2", "p3"),
+        lambda a, p1, p2, p3: _node(UNION, [_K(a)] * p1 + [_star(2 * a - 3)] * p2 + [_E(p3)]),
+        lambda a, p1, p2, p3: [float(2 * a - 2), 0.0],
+        clauses=(_at_least_2("a"),),
+        grid=(range(2, 6), _P3, _P3, _P3),
+    ),
+    "H6": _Family(
+        ("s", "p1", "p2", "p3"),
+        lambda s, p1, p2, p3: _tiered(
+            _node(JOIN, [_K(2 * s - 1), _E(3 * s)]), 4 * s - 1, (s + 1) // 2, p1, p2, p3
+        ),
+        lambda s, p1, p2, p3: [float(8 * s - 4), float(s - 1)],
+        clauses=(("s odd", lambda p: p["s"] % 2 == 1),),
+        grid=(range(1, 6), _P2, _P2, _P2),
+    ),
+    "H7": _Family(
+        ("s", "p1", "p2", "p3"),
+        lambda s, p1, p2, p3: _tiered(_core(s, [s + 1, s + 2]), (5 * s + 4) // 2, s + 1, p1, p2, p3),
+        lambda s, p1, p2, p3: [float(5 * s + 2), float(2 * s)],
+        clauses=(("s even", lambda p: p["s"] % 2 == 0),),
+        grid=(range(2, 7), _P2, _P2, _P2),
+    ),
+    "H8": _Family(
+        ("s", "p1", "p2", "p3"),
+        lambda s, p1, p2, p3: _tiered(_core(s, [s, s]), 5 * s // 2, s, p1, p2, p3),
+        lambda s, p1, p2, p3: [float(5 * s - 2), float(2 * s - 2)],
+        clauses=(("s even", lambda p: p["s"] % 2 == 0),),
+        grid=(range(2, 7), _P2, _P2, _P2),
+    ),
+}
+
+
+FAMILY_PARAMS: dict[str, tuple[str, ...]] = {name: row.params for name, row in _FAMILIES.items()}
+
+
 def build_cotree(spec: FamilySpec) -> Cotree:
-    f = spec.family
-    s = spec
-    if f == "Complete":
-        t = _K(s["n"])
-    elif f == "Empty":
-        t = _E(s["n"])
-    elif f == "CompleteSplit":
-        t = _node(JOIN, [_K(s["a"]), _E(s["b"])])
-    elif f == "BipartiteJoin":
-        t = _node(JOIN, [_E(s["a"]), _E(s["b"])])
-    elif f == "CoreUnion":
-        t = _node(JOIN, [_K(s["c"]), _node(UNION, [_K(s["a"]), _K(s["b"])])])
-    elif f in ("CoreSatellite", "Windmill"):
-        c = 1 if f == "Windmill" else s["c"]
-        t = _node(JOIN, [_K(c), _node(UNION, [_K(s["a"])] * s["t"])])
-    elif f == "GeneralizedCoreSatellite":
-        sats: list[Cotree] = []
-        for count, order in s["satellites"]:
-            sats.extend([_K(order)] * count)
-        t = _node(JOIN, [_K(s["n0"]), _node(UNION, sats)])
-    elif f == "H1":
-        t = _node(UNION, [_E(s["a"])] + [_K(s["b"])] * s["p"])
-    elif f == "H2":
-        block = _node(JOIN, [_K(s["a"]), _E(s["b"])])
-        t = _node(UNION, [block] * s["p"])
-    elif f == "H2p":
-        t = _node(UNION, [_star(s["b"])] * s["p"])
-    elif f == "H2pp":
-        t = _node(UNION, [_E(s["p1"])] + [_star(s["b"])] * s["p2"])
-    elif f == "H3":
-        block = _node(JOIN, [_K(s["s"]), _node(UNION, [_K(s["a1"]), _K(s["a2"])])])
-        t = _node(UNION, [block] * s["p"])
-    elif f == "H4":
-        t = _node(UNION, [_K(s["a"])] * s["p1"] + [_star(2 * s["a"] - 3)] * s["p2"])
-    elif f == "H5":
-        t = _node(
-            UNION,
-            [_K(s["a"])] * s["p1"] + [_star(2 * s["a"] - 3)] * s["p2"] + [_E(s["p3"])],
-        )
-    elif f == "H6":
-        ss = s["s"]
-        block = _node(JOIN, [_K(2 * ss - 1), _E(3 * ss)])
-        t = _node(
-            UNION,
-            [block] * s["p1"] + [_K(4 * ss - 1)] * s["p2"] + [_K((ss + 1) // 2)] * s["p3"],
-        )
-    elif f == "H7":
-        ss = s["s"]
-        block = _node(JOIN, [_K(ss), _node(UNION, [_K(ss + 1), _K(ss + 2)])])
-        t = _node(
-            UNION,
-            [block] * s["p1"] + [_K((5 * ss + 4) // 2)] * s["p2"] + [_K(ss + 1)] * s["p3"],
-        )
-    elif f == "H8":
-        ss = s["s"]
-        block = _node(JOIN, [_K(ss), _node(UNION, [_K(ss), _K(ss)])])
-        t = _node(
-            UNION,
-            [block] * s["p1"] + [_K(5 * ss // 2)] * s["p2"] + [_K(ss)] * s["p3"],
-        )
-    else:  # pragma: no cover - guarded by FamilySpec.make
-        raise ValueError(f"unknown family {f!r}")
-    return canonicalize(t)
+    return canonicalize(_FAMILIES[spec.family].cotree(**spec.param_dict()))
 
 
 def build(spec: FamilySpec) -> tuple[Cotree, Graph]:
@@ -240,113 +316,22 @@ def expected_mains(spec: FamilySpec) -> list[float] | None:
     a complete-split graph with b=1 is complete, and H4 with a=2 collapses to
     a disjoint union of K_2's whose only main eigenvalue is 2.
     """
-    f = spec.family
-    s = spec
-    if f == "Complete":
-        return [float(2 * s["n"] - 2)]
-    if f == "Empty":
-        return [0.0]
-    if f == "CompleteSplit":
-        if s["b"] == 1:
-            return [float(2 * s["a"])]  # K_{a+1}
-        return list(oracle.mains_complete_split(s["a"], s["b"]))
-    if f == "BipartiteJoin":
-        a, b = s["a"], s["b"]
-        if a == b:
-            return [float(2 * a)]
-        return [float(a + b), 0.0]
-    if f == "CoreUnion":
-        if s["a"] == s["b"]:
-            return list(oracle.mains_core_satellite_pair(s["c"], s["a"]))
-        return list(oracle.mains_core_union(s["c"], s["a"], s["b"])[0])
-    if f in ("CoreSatellite", "Windmill"):
-        c = 1 if f == "Windmill" else s["c"]
-        t, a = s["t"], s["a"]
-        if t == 1:
-            return [float(2 * (c + a) - 2)]
-        if t == 2:
-            return list(oracle.mains_core_satellite_pair(c, a))
-        return None
-    if f == "GeneralizedCoreSatellite":
-        return None
-    if f == "H1":
-        return [float(2 * s["b"] - 2), 0.0]
-    if f == "H2":
-        return list(oracle.mains_complete_split(s["a"], s["b"]))
-    if f in ("H2p", "H2pp"):
-        return [float(1 + s["b"]), 0.0]
-    if f == "H3":
-        if s["a1"] == s["a2"]:
-            return list(oracle.mains_core_satellite_pair(s["s"], s["a1"]))
-        return list(oracle.mains_core_union(s["s"], s["a1"], s["a2"])[0])
-    if f == "H4":
-        if s["a"] == 2:
-            return [2.0]  # every block is K_2; the union is 1-regular
-        return [float(2 * s["a"] - 2), 0.0]
-    if f == "H5":
-        return [float(2 * s["a"] - 2), 0.0]
-    if f == "H6":
-        return [float(8 * s["s"] - 4), float(s["s"] - 1)]
-    if f == "H7":
-        return [float(5 * s["s"] + 2), float(2 * s["s"])]
-    if f == "H8":
-        return [float(5 * s["s"] - 2), float(2 * s["s"] - 2)]
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Default parameter grids for verification sweeps.
-#
-# p-style parameters run over {1,2,3} and sizes over small ranges, trimmed to
-# each family's invariants. Two boundary trims keep every grid point inside
-# the regime where the families' stated main eigenvalues hold:
-#   * H1 drops (a=1, p=1): K_1 u K_b is a union of two complete graphs, so
-#     joining a clique onto it yields two mains, not three.
-#   * H4 starts at a=3: at a=2 the family collapses to copies of K_2 (the
-#     second block kind requires 2a-3 >= 2).
-# H6/H7/H8 use p_i in {1,2}; sizes there grow fast and {1,2} already covers
-# the single/multiple-copy distinction.
-# ---------------------------------------------------------------------------
+    return _FAMILIES[spec.family].mains(**spec.param_dict())
 
 
 def default_grid(family: str) -> list[FamilySpec]:
-    specs: list[FamilySpec] = []
-    if family == "H1":
-        for a, b, p in product(range(1, 6), range(2, 6), range(1, 4)):
-            if a == 1 and p == 1:
-                continue
-            specs.append(FamilySpec.make("H1", a=a, b=b, p=p))
-    elif family == "H2":
-        for a, b, p in product(range(2, 6), range(2, 6), range(2, 4)):
-            specs.append(FamilySpec.make("H2", a=a, b=b, p=p))
-    elif family == "H2p":
-        for b, p in product(range(2, 6), range(2, 4)):
-            specs.append(FamilySpec.make("H2p", b=b, p=p))
-    elif family == "H2pp":
-        for b, p1, p2 in product(range(2, 6), range(1, 4), range(1, 4)):
-            if p1 < 2 and p2 < 2:
-                continue
-            specs.append(FamilySpec.make("H2pp", b=b, p1=p1, p2=p2))
-    elif family == "H3":
-        for s, a1, a2, p in product(range(1, 4), range(1, 5), range(1, 5), range(2, 4)):
-            if a1 < 2 and a2 < 2:
-                continue
-            specs.append(FamilySpec.make("H3", s=s, a1=a1, a2=a2, p=p))
-    elif family == "H4":
-        for a, p1, p2 in product(range(3, 6), range(1, 4), range(1, 4)):
-            specs.append(FamilySpec.make("H4", a=a, p1=p1, p2=p2))
-    elif family == "H5":
-        for a, p1, p2, p3 in product(range(2, 6), range(1, 4), range(1, 4), range(1, 4)):
-            specs.append(FamilySpec.make("H5", a=a, p1=p1, p2=p2, p3=p3))
-    elif family in ("H6", "H7", "H8"):
-        svals = (1, 3, 5) if family == "H6" else (2, 4, 6)
-        for s, p1, p2, p3 in product(svals, (1, 2), (1, 2), (1, 2)):
-            specs.append(FamilySpec.make(family, s=s, p1=p1, p2=p2, p3=p3))
-    else:
+    """The family's default verification grid, in lexicographic axis order."""
+    row = _FAMILIES.get(family)
+    if row is None or row.grid is None:
         raise ValueError(f"no default grid for family {family!r}")
+    specs = []
+    for values in product(*row.grid):
+        params = dict(zip(row.params, values))
+        if _broken_clause(row, params) is None and not (row.trim and row.trim(params)):
+            specs.append(FamilySpec.make(family, **params))
     return specs
 
 
 def default_grids() -> dict[str, list[FamilySpec]]:
-    """The configured grids for the eight H families."""
-    return {f: default_grid(f) for f in ("H1", "H2", "H2p", "H2pp", "H3", "H4", "H5", "H6", "H7", "H8")}
+    """The configured grids for the eight H families (ten with H2p, H2pp)."""
+    return {f: default_grid(f) for f in _FAMILIES if f.startswith("H")}

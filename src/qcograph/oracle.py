@@ -192,10 +192,6 @@ def predict_main_count(obj) -> MainCountPrediction:
     from .families import FamilySpec, build  # deferred: families imports this module
 
     if isinstance(obj, FamilySpec):
-        if obj.family in ("Complete", "Empty"):
-            n = obj["n"]
-            rule = "CompleteGraph" if obj.family == "Complete" else "Regular"
-            return MainCountPrediction(k=1, rule=rule, premises=f"{obj.family}({n}) is regular")
         obj = build(obj)[1]
     if isinstance(obj, Graph):
         return _predict_graph(obj)

@@ -33,19 +33,25 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
     an int or a list of ints; the grid is their cartesian product, iterated
     lexicographically in parameter declaration order. Returns (header, rows).
     """
+    if not isinstance(pattern, dict) or not isinstance(pattern.get("params", {}), dict):
+        raise ValueError('sweep pattern must look like {"family": ..., "params": {...}}')
     family = pattern.get("family")
-    if family not in FAMILY_PARAMS:
+    if not isinstance(family, str) or family not in FAMILY_PARAMS:
         raise ValueError(f"unknown family {family!r}")
     if family == "GeneralizedCoreSatellite":
         raise ValueError("sweep does not support nested satellite parameters")
     names = FAMILY_PARAMS[family]
     raw = pattern.get("params", {})
-    axes: list[list[int]] = []
+    axes: list[list] = []
     for name in names:
         if name not in raw:
             raise ValueError(f"missing parameter {name!r} for family {family}")
         v = raw[name]
-        axes.append(sorted(int(x) for x in v) if isinstance(v, (list, tuple)) else [int(v)])
+        try:
+            # FamilySpec.make checks each value; only their order is needed here
+            axes.append(sorted(v) if isinstance(v, (list, tuple)) else [v])
+        except TypeError:
+            raise ValueError(f"sweep parameter {name!r} must be an integer or a list of integers") from None
     points = 1
     for axis in axes:
         points *= len(axis)
@@ -62,7 +68,7 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
         width = bags(t).r
         report = classify(g)
         ms = (time.perf_counter() - start) * 1000.0
-        row = [str(v) for v in values]
+        row = [str(v) for _, v in spec.params]
         row += [str(g.n), str(g.m), str(width), str(rep.main_count)]
         row.append(";".join(format(v, ".17g") for v in rep.main_values()))
         row += [str(getattr(report, flag)).lower() for flag in _FLAGS]

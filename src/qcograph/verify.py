@@ -5,12 +5,11 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Callable, Iterator
 
 from .cotree import JOIN, Internal, Leaf, bags, normalize, parse, to_graph
 from .enumeration import enumerate_cographs
-from .families import FamilySpec, build, build_cotree, default_grids, expected_mains
+from .families import FamilySpec, build, build_cotree, default_grid, default_grids, expected_mains
 from .graph import Graph, bipartition, complement, join, union
 from .oracle import (
     mains_complete_split,
@@ -215,26 +214,10 @@ def _verify_two_main_characterization(max_n: int = 10) -> list[VerificationCase]
     return out
 
 
-def _gcs_grid() -> list[FamilySpec]:
-    specs = []
-    for n0 in (1, 2, 3):
-        for size in (1, 2, 3):
-            for orders in combinations((1, 2, 3, 4), size):
-                for counts in product((1, 2, 3), repeat=size):
-                    specs.append(
-                        FamilySpec.make(
-                            "GeneralizedCoreSatellite",
-                            n0=n0,
-                            satellites=list(zip(counts, orders)),
-                        )
-                    )
-    return specs
-
-
 def _verify_gcs_count(grid: list[FamilySpec] | None = None) -> list[VerificationCase]:
     """Generalized core-satellite graphs have exactly the predicted main count."""
     out = []
-    for spec in grid if grid is not None else _gcs_grid():
+    for spec in grid if grid is not None else default_grid("GeneralizedCoreSatellite"):
         pred = predict_main_count(spec)
         k = q_spectrum_cotree(build_cotree(spec)).main_count
         desc = str(spec.to_json_dict())
@@ -254,13 +237,12 @@ def _verify_gcs_count(grid: list[FamilySpec] | None = None) -> list[Verification
 def _verify_join_kc(max_n: int = 8) -> list[VerificationCase]:
     """Joining K_c onto a cograph with k >= 2 mains gives k or k+1 mains.
 
-    Two predictions are checked per graph. The bipartite form ("k+1 iff the
-    complement is non-bipartite") is the stated law; it is exact whenever the
-    complement is connected but fails when the complement mixes a non-bipartite
-    component with an unbalanced bipartite one (smallest case: the star on 4
-    vertices). The zero-main form ("k+1 iff 0 is not a main eigenvalue of the
-    complement") is the underlying dichotomy and is expected to hold always;
-    FAIL rows for the bipartite form on such graphs are findings, not bugs.
+    The zero-main form ("k+1 iff 0 is not a main eigenvalue of the
+    complement") is the exact law and is checked on every graph. The
+    bipartite form ("k+1 iff the complement is non-bipartite") is exact only
+    where the complement is connected, so it is checked only there; it fails
+    when the complement mixes a non-bipartite component with an unbalanced
+    bipartite one (smallest case: the star on 4 vertices).
     """
     out = []
     for s, g in _iter_enumerated(max_n):
@@ -270,22 +252,24 @@ def _verify_join_kc(max_n: int = 8) -> list[VerificationCase]:
             continue
         comp = complement(g)
         comp_rep = q_spectrum(comp)
+        comp_connected = is_connected(comp)
         non_bip = bipartition(comp) is None
         zero_main = any(abs(v) <= comp_rep.tol_group for v in comp_rep.main_values())
         want_bip = k + 1 if non_bip else k
         want_zero = k if zero_main else k + 1
         for c in (1, 2):
             got = q_spectrum(join(Graph.complete(c), g)).main_count
-            out.append(
-                _case(
-                    f"join-kc[bipartite-form,c={c},{s}]",
-                    s,
-                    f"k = {want_bip} (k(g)={k}, complement {'non-bipartite' if non_bip else 'bipartite'})",
-                    f"k = {got}",
-                    got == want_bip,
-                    abs(got - want_bip),
+            if comp_connected:
+                out.append(
+                    _case(
+                        f"join-kc[bipartite-form,c={c},{s}]",
+                        s,
+                        f"k = {want_bip} (k(g)={k}, complement {'non-bipartite' if non_bip else 'bipartite'})",
+                        f"k = {got}",
+                        got == want_bip,
+                        abs(got - want_bip),
+                    )
                 )
-            )
             out.append(
                 _case(
                     f"join-kc[zero-main-form,c={c},{s}]",
@@ -580,9 +564,14 @@ def run_verify(
     max_n: int | None = None,
     grid: dict | None = None,
 ) -> list[VerificationCase]:
-    """Run one theorem suite; grid (parsed JSON) overrides the built-in grids
-    for gcs-count ({"n0": [...], "orders": [...], "counts": [...]} ignored
-    unless provided as "specs") and h-families ({"families": {name: [params]}})."""
+    """Run one theorem suite.
+
+    grid (parsed JSON) overrides the built-in grid of two suites:
+    gcs-count takes {"specs": [family spec, ...]}, each spec shaped as
+    {"family": name, "params": {...}}; h-families takes
+    {"families": {name: [params, ...]}}, each params a dict. Any other
+    shape is a ValueError.
+    """
     if theorem_id not in _SUITES:
         raise ValueError(f"unknown theorem id {theorem_id!r}; valid: {', '.join(THEOREM_IDS)}")
     suite = _SUITES[theorem_id]
@@ -593,11 +582,17 @@ def run_verify(
         kwargs["max_n"] = max_n
     if grid is not None:
         if theorem_id == "gcs-count":
-            kwargs["grid"] = [FamilySpec.from_json_dict(d) for d in grid["specs"]]
+            specs = grid.get("specs") if isinstance(grid, dict) else None
+            if not isinstance(specs, list):
+                raise ValueError('gcs-count grid must look like {"specs": [family spec, ...]}')
+            kwargs["grid"] = [FamilySpec.from_json_dict(d) for d in specs]
         elif theorem_id == "h-families":
+            families = grid.get("families") if isinstance(grid, dict) else None
+            if not isinstance(families, dict) or not all(isinstance(p, list) for p in families.values()):
+                raise ValueError('h-families grid must look like {"families": {name: [params, ...]}}')
             kwargs["grids"] = {
-                fam: [FamilySpec.make(fam, **params) for params in plist]
-                for fam, plist in grid["families"].items()
+                fam: [FamilySpec.from_json_dict({"family": fam, "params": params}) for params in plist]
+                for fam, plist in families.items()
             }
         else:
             raise ValueError(f"{theorem_id} does not take --grid")

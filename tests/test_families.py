@@ -2,11 +2,33 @@ import math
 
 import pytest
 
-from qcograph.cotree import canonical_string
-from qcograph.families import FamilySpec, build, default_grid, default_grids, expected_mains
+from qcograph.cotree import canonical_string, to_graph
+from qcograph.families import FAMILY_PARAMS, FamilySpec, build, build_cotree, default_grid, default_grids, expected_mains
 from qcograph.graph import Graph
 from qcograph.recognition import classify
-from qcograph.spectra import main_values
+from qcograph.spectra import main_values, q_spectrum
+
+# one instance per family: its canonical cotree string
+GOLDEN = [
+    ("Complete", {"n": 4}, "J(4)"),
+    ("Empty", {"n": 3}, "U(3)"),
+    ("CompleteSplit", {"a": 2, "b": 3}, "J(2,U(3))"),
+    ("BipartiteJoin", {"a": 2, "b": 3}, "J(U(2),U(3))"),
+    ("CoreUnion", {"c": 2, "a": 1, "b": 3}, "J(2,U(1,J(3)))"),
+    ("CoreSatellite", {"c": 2, "t": 2, "a": 3}, "J(2,U(J(3),J(3)))"),
+    ("Windmill", {"t": 3, "a": 2}, "J(1,U(J(2),J(2),J(2)))"),
+    ("GeneralizedCoreSatellite", {"n0": 2, "satellites": [[1, 1], [2, 3]]}, "J(2,U(1,J(3),J(3)))"),
+    ("H1", {"a": 2, "b": 3, "p": 2}, "U(2,J(3),J(3))"),
+    ("H2", {"a": 2, "b": 3, "p": 2}, "U(J(2,U(3)),J(2,U(3)))"),
+    ("H2p", {"b": 3, "p": 2}, "U(J(1,U(3)),J(1,U(3)))"),
+    ("H2pp", {"b": 2, "p1": 2, "p2": 2}, "U(2,J(1,U(2)),J(1,U(2)))"),
+    ("H3", {"s": 1, "a1": 1, "a2": 2, "p": 2}, "U(J(1,U(1,J(2))),J(1,U(1,J(2))))"),
+    ("H4", {"a": 3, "p1": 2, "p2": 1}, "U(J(3),J(3),J(1,U(3)))"),
+    ("H5", {"a": 3, "p1": 1, "p2": 1, "p3": 2}, "U(2,J(3),J(1,U(3)))"),
+    ("H6", {"s": 1, "p1": 1, "p2": 2, "p3": 1}, "U(1,J(3),J(3),J(1,U(3)))"),
+    ("H7", {"s": 2, "p1": 1, "p2": 1, "p3": 2}, "U(J(3),J(3),J(7),J(2,U(J(3),J(4))))"),
+    ("H8", {"s": 2, "p1": 2, "p2": 1, "p3": 1}, "U(J(2),J(5),J(2,U(J(2),J(2))),J(2,U(J(2),J(2))))"),
+]
 
 
 class TestSpecValidation:
@@ -72,6 +94,20 @@ class TestBuild:
         a = build(FamilySpec.make("Windmill", t=3, a=2))[0]
         b = build(FamilySpec.make("CoreSatellite", c=1, t=3, a=2))[0]
         assert canonical_string(a) == canonical_string(b)
+
+
+class TestGolden:
+    def test_one_instance_per_family(self):
+        assert sorted(f for f, _, _ in GOLDEN) == sorted(FAMILY_PARAMS)
+
+    @pytest.mark.parametrize("family, params, cotree", GOLDEN, ids=[f for f, _, _ in GOLDEN])
+    def test_cotree_and_mains(self, family, params, cotree):
+        spec = FamilySpec.make(family, **params)
+        t = build_cotree(spec)
+        assert canonical_string(t) == cotree
+        want = expected_mains(spec)
+        if want is not None:
+            assert q_spectrum(to_graph(t)).main_values() == pytest.approx(want, abs=1e-7)
 
 
 class TestExpectedMains:

@@ -86,16 +86,17 @@ class TestVerifySuites:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_join_kc_reports_both_forms(self):
-        # the bipartite phrasing has true counterexamples (first at n=4: the
-        # star); the suite must FAIL those cases while the zero-main form of
-        # the same dichotomy passes everywhere
+        # the bipartite phrasing is exact only where the complement is
+        # connected, so the star (complement K_1 u K_3, its first
+        # counterexample) gets no bipartite-form row; the zero-main form of
+        # the same dichotomy is checked everywhere
         cases = run_verify("join-kc", max_n=4)
         bip = [c for c in cases if c.case_id.startswith("join-kc[bipartite-form")]
         zero = [c for c in cases if c.case_id.startswith("join-kc[zero-main-form")]
-        assert len(bip) == len(zero) > 0
-        star_cases = [c for c in bip if "J(1,U(3))" in c.case_id]
-        assert star_cases and all(not c.passed for c in star_cases)
-        assert all(c.passed for c in zero)
+        assert 0 < len(bip) < len(zero)
+        assert not [c for c in bip if "J(1,U(3))" in c.case_id]
+        assert [c for c in zero if "J(1,U(3))" in c.case_id]
+        assert all(c.passed for c in cases)
 
 
 class TestSweep:
@@ -219,6 +220,30 @@ class TestCli:
 
     def test_bad_family_json(self, capsys):
         assert main(["build", "--family", "{not json"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["spectrum", "--family", '{"family":"Complete","params":{"n":null}}'], None),
+            (["spectrum", "--family", '{"family":"Complete","params":{"n":2.7}}'], None),
+            (["spectrum", "--family", '{"family":"Complete","params":[3]}'], None),
+            (["build", "--family", '{"family":"GeneralizedCoreSatellite","params":{"n0":1,"satellites":5}}'], None),
+            (["sweep", "--family", "[1]"], None),
+            (["sweep", "--family", '{"family":"H6","params":{"s":null,"p1":1,"p2":1,"p3":1}}'], None),
+            (["verify", "--theorem", "h-families", "--grid", '{"families":{"H1":[[1]]}}'], None),
+            (["verify", "--theorem", "gcs-count", "--grid", '{"x":1}'], None),
+            (["sweep", "--family", '{"family":"Complete","params":{"n":[1,2]}}'], '{"sweep_cap": null}'),
+            (["sweep", "--family", '{"family":"Complete","params":{"n":[1,2]}}'], '{"sweep_cap": [3]}'),
+        ],
+    )
+    def test_malformed_family_input_is_usage_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            argv = [*argv, "--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_config_keys_validated(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

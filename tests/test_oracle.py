@@ -144,10 +144,9 @@ class TestPredictMainCount:
         assert predict_main_count(FamilySpec.make("Empty", n=4)).rule == "Regular"
 
     def test_spec_agrees_with_built_graph(self):
-        from qcograph.families import build, default_grids
-        from qcograph.verify import _gcs_grid  # the criterion-5 grid
+        from qcograph.families import build, default_grid, default_grids
 
-        specs = _gcs_grid() + [spec for grid in default_grids().values() for spec in grid]
+        specs = default_grid("GeneralizedCoreSatellite") + [spec for grid in default_grids().values() for spec in grid]
         for a in range(1, 4):
             for b in range(1, 4):
                 specs.append(FamilySpec.make("CompleteSplit", a=a, b=b))
