@@ -60,6 +60,7 @@ from .recognition import (
     is_complete,
     is_connected,
     ClassificationReport,
+    cotree_flags,
     classify,
     vertex_connectivity,
     ConnectivityReport,

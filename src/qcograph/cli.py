@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cotree import Cotree, CotreeSyntaxError, NotCograph, bags, canonical_string, parse, to_graph
+from .cotree import Cotree, CotreeSyntaxError, NotCograph, bags, canonical_string, parse
 from .enumeration import enumerate_cographs
 from .families import FamilySpec, build, build_cotree
 from .graph import Graph, format_edge_list, parse_edge_list
@@ -95,7 +95,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_classify(args) -> int:
     source = _input_from_args(args)
-    report = classify(source if isinstance(source, Graph) else to_graph(source))
+    report = classify(source)
     if args.json:
         print(dumps_17g(report.to_json_dict()))
     else:
@@ -133,11 +133,10 @@ def _cmd_condensed(args) -> int:
 
 def _cmd_build(args) -> int:
     spec = FamilySpec.from_json_dict(_load_json_arg(args.family))
-    t, g = build(spec)
     if args.emit == "cotree":
-        print(canonical_string(t))
+        print(canonical_string(build_cotree(spec)))
     else:
-        sys.stdout.write(format_edge_list(g))
+        sys.stdout.write(format_edge_list(build(spec)[1]))
     return 0
 
 

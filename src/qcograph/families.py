@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Sequence
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, canonicalize, normalize, to_graph
-from .graph import Graph
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, canonicalize, leaf_count, normalize, to_graph
+from .graph import MAX_EDGE_LIST_N, Graph
 from . import oracle
 
 __all__ = [
@@ -304,8 +304,14 @@ def build_cotree(spec: FamilySpec) -> Cotree:
 
 
 def build(spec: FamilySpec) -> tuple[Cotree, Graph]:
-    """Canonical cotree and its graph."""
+    """Canonical cotree and its graph, refused (ValueError) beyond
+    ``MAX_EDGE_LIST_N`` vertices, where the dense n x n routes stop."""
     t = build_cotree(spec)
+    n = leaf_count(t)
+    if n > MAX_EDGE_LIST_N:
+        raise ValueError(
+            f"{spec.family}: n = {n} exceeds the {MAX_EDGE_LIST_N}-vertex limit of the dense graph"
+        )
     return t, to_graph(t)
 
 

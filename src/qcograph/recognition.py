@@ -3,11 +3,13 @@ vertex connectivity, and the universal-clique decomposition."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .cotree import NotCograph, from_graph
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, from_graph, normalize, to_graph
 from .graph import Graph, bipartition, components, induced_subgraph
 from .spectra import algebraic_connectivity
 
@@ -23,6 +25,7 @@ __all__ = [
     "is_connected",
     "universal_vertices",
     "ClassificationReport",
+    "cotree_flags",
     "classify",
     "vertex_connectivity",
     "ConnectivityReport",
@@ -136,8 +139,9 @@ def is_chordal(g: Graph) -> bool:
 
 
 def is_quasi_threshold(g: Graph) -> bool:
-    """Chordal cograph: ``classify``'s flag without its witness search, 2K2
-    scan and other flags. Non-chordal input skips the cotree recursion."""
+    """Chordal cograph, by maximum-cardinality search and then the cotree
+    recursion, which non-chordal input skips. ``classify`` reads the same
+    flag off the cotree."""
     if not is_chordal(g):
         return False
     try:
@@ -169,8 +173,18 @@ def universal_vertices(g: Graph) -> list[int]:
     return [v for v in range(g.n) if degs[v] == g.n - 1]
 
 
-@dataclass(frozen=True)
+Witness = tuple[int, int, int, int]
+
+
+@dataclass(frozen=True, eq=False)
 class ClassificationReport:
+    """Structural flags plus the first forbidden induced subgraph, if any.
+
+    ``witness`` is searched for on its first read, by calling
+    ``search_witness``; two reports are equal iff their flags and witnesses
+    are.
+    """
+
     is_cograph: bool
     is_chordal: bool
     is_quasi_threshold: bool
@@ -179,7 +193,12 @@ class ClassificationReport:
     is_regular: bool
     is_complete: bool
     is_connected: bool
-    witness: tuple[int, int, int, int] | None  # forbidden induced subgraph, if any
+    search_witness: Callable[[], Witness | None] = field(repr=False)
+
+    @cached_property
+    def witness(self) -> Witness | None:
+        """Forbidden induced subgraph: P4, then C4, then 2K2, else None."""
+        return self.search_witness()
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,44 +213,121 @@ class ClassificationReport:
             "witness": list(self.witness) if self.witness else None,
         }
 
+    def _key(self) -> tuple:
+        flags = (getattr(self, f.name) for f in fields(self) if f.name != "search_witness")
+        return (*flags, self.witness)
 
-def classify(g: Graph) -> ClassificationReport:
-    """All structural flags at once.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClassificationReport):
+            return NotImplemented
+        return self._key() == other._key()
 
-    Cograph membership comes from the cotree recursion; quasi-threshold is
-    cograph plus C4-free (equivalent to chordal for cographs); threshold
-    additionally excludes 2K2. The witness is the first forbidden pattern
-    ruled on: P4, then C4, then 2K2.
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def cotree_flags(t: Cotree) -> dict[str, bool]:
+    """The flags of ``classify`` for the cograph of a cotree, read off the tree.
+
+    After normalization (Corneil, Lerchs and Stewart Burlingham 1981; Yan,
+    Chen and Chang 1996):
+
+    - quasi-threshold, which for a cograph is chordal, iff every J-node has
+      at most one non-leaf child;
+    - threshold iff quasi-threshold and every U-node has at most one
+      non-leaf child;
+    - connected iff the root is a J-node or a leaf;
+    - complete iff the root is a leaf or a J-node whose children are leaves;
+    - regular iff every bag has the same degree p;
+    - bipartite iff every component (the root, or each child of a U root)
+      is a leaf or a J-node with two children, each a leaf or an all-leaf
+      U-node.
     """
-    if g.n < 1:
-        raise ValueError("classification needs at least one vertex")
-    try:
-        from_graph(g)
-        cograph = True
-        witness = None
-    except NotCograph as exc:
-        cograph = False
-        witness = exc.witness
-    chordal = is_chordal(g)
-    if not chordal and witness is None:
-        witness = find_induced(g, "C4")  # guaranteed for non-chordal cographs
-    qt = cograph and chordal
-    threshold = False
-    if qt:
-        two_k2 = find_induced(g, "2K2")
-        threshold = two_k2 is None
-        if witness is None and two_k2 is not None:
-            witness = two_k2
+    t = normalize(t)
+    crowded = {JOIN: False, UNION: False}  # kind -> some node has two non-leaf children
+
+    def walk(node: Cotree) -> tuple[int, int | None]:
+        """(leaves of node, the degree they all have inside node's subtree, or None)."""
+        if isinstance(node, Leaf):
+            return 1, 0
+        if sum(isinstance(c, Internal) for c in node.children) > 1:
+            crowded[node.kind] = True
+        kids = [walk(c) for c in node.children]
+        size = sum(k for k, _ in kids)
+        join = node.kind == JOIN
+        degs = {d + size - k if join and d is not None else d for k, d in kids}
+        return size, degs.pop() if len(degs) == 1 else None
+
+    regular = walk(t)[1] is not None
+    qt = not crowded[JOIN]
+    is_join = isinstance(t, Internal) and t.kind == JOIN
+    components = t.children if isinstance(t, Internal) and t.kind == UNION else (t,)
+    return {
+        "is_chordal": qt,
+        "is_quasi_threshold": qt,
+        "is_threshold": qt and not crowded[UNION],
+        "is_bipartite": all(map(_bipartite_component, components)),
+        "is_regular": regular,
+        "is_complete": isinstance(t, Leaf) or (is_join and all(isinstance(c, Leaf) for c in t.children)),
+        "is_connected": isinstance(t, Leaf) or is_join,
+    }
+
+
+def _bipartite_component(t: Cotree) -> bool:
+    def independent(c: Cotree) -> bool:
+        return isinstance(c, Leaf) or (c.kind == UNION and all(isinstance(x, Leaf) for x in c.children))
+
+    return isinstance(t, Leaf) or (t.kind == JOIN and len(t.children) == 2 and all(map(independent, t.children)))
+
+
+def classify(source: Graph | Cotree) -> ClassificationReport:
+    """All structural flags of a graph, or of the cograph of a cotree, at once.
+
+    A cotree, or the cotree ``from_graph`` recovers from a cograph, gives
+    every flag through ``cotree_flags`` (quasi-threshold = chordal iff every
+    J-node has at most one non-leaf child; threshold iff every U-node has
+    too; connected, complete, regular and bipartite from the root and the
+    bags). A graph that is not a cograph keeps the dense route: maximum-
+    cardinality search for chordality, two-colouring, degrees, components.
+
+    The witness is the first forbidden pattern ruled on: the induced P4 of a
+    non-cograph, else the first C4 of a non-chordal graph, else the first
+    2K2 of a non-threshold one, else None. For a cograph it is searched for
+    by ``find_induced`` only when ``report.witness`` is first read, on the
+    graph given, or on ``to_graph(t)`` for a cotree.
+    """
+    if isinstance(source, Graph):
+        if source.n < 1:
+            raise ValueError("classification needs at least one vertex")
+        try:
+            t = from_graph(source)
+        except NotCograph as exc:
+            return _classify_dense(source, exc.witness)
+    else:
+        t = source
+    flags = cotree_flags(t)
+
+    def search_witness() -> Witness | None:
+        if flags["is_threshold"]:
+            return None
+        g = source if isinstance(source, Graph) else to_graph(source)
+        return find_induced(g, "C4" if not flags["is_chordal"] else "2K2")
+
+    return ClassificationReport(is_cograph=True, **flags, search_witness=search_witness)
+
+
+def _classify_dense(g: Graph, p4: Witness) -> ClassificationReport:
+    """Flags of a graph that is not a cograph, with its induced P4."""
     return ClassificationReport(
-        is_cograph=cograph,
-        is_chordal=chordal,
-        is_quasi_threshold=qt,
-        is_threshold=threshold,
+        is_cograph=False,
+        is_chordal=is_chordal(g),
+        is_quasi_threshold=False,
+        is_threshold=False,
         is_bipartite=bipartition(g) is not None,
         is_regular=is_regular(g),
         is_complete=is_complete(g),
         is_connected=is_connected(g),
-        witness=witness,
+        search_witness=lambda: p4,
     )
 
 

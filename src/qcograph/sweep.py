@@ -6,7 +6,7 @@ import time
 from itertools import product
 
 from .cotree import bags
-from .families import FAMILY_PARAMS, FamilySpec, build
+from .families import FAMILY_PARAMS, FamilySpec, build_cotree
 from .recognition import classify
 from .spectra import q_spectrum_cotree
 
@@ -27,7 +27,7 @@ _FLAGS = (
 
 
 def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str]]]:
-    """Evaluate a family over ranged parameters.
+    """Evaluate a family over ranged parameters, from the cotree alone.
 
     The pattern is {"family": name, "params": {...}} where each parameter is
     an int or a list of ints; the grid is their cartesian product, iterated
@@ -63,13 +63,14 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
     for values in product(*axes):
         start = time.perf_counter()
         spec = FamilySpec.make(family, **dict(zip(names, values)))
-        t, g = build(spec)
+        t = build_cotree(spec)
         rep = q_spectrum_cotree(t)
-        width = bags(t).r
-        report = classify(g)
+        b = bags(t)
+        m = sum(bag.t * bag.p for bag in b.bags) // 2
+        report = classify(t)
         ms = (time.perf_counter() - start) * 1000.0
         row = [str(v) for _, v in spec.params]
-        row += [str(g.n), str(g.m), str(width), str(rep.main_count)]
+        row += [str(b.n), str(m), str(b.r), str(rep.main_count)]
         row.append(";".join(format(v, ".17g") for v in rep.main_values()))
         row += [str(getattr(report, flag)).lower() for flag in _FLAGS]
         row.append(format(ms, ".17g"))

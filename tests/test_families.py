@@ -4,7 +4,8 @@ import pytest
 
 from qcograph.cotree import canonical_string, to_graph
 from qcograph.families import FAMILY_PARAMS, FamilySpec, build, build_cotree, default_grid, default_grids, expected_mains
-from qcograph.graph import Graph
+from qcograph.graph import MAX_EDGE_LIST_N, Graph
+from qcograph.oracle import predict_main_count
 from qcograph.recognition import classify
 from qcograph.spectra import main_values, q_spectrum
 
@@ -94,6 +95,15 @@ class TestBuild:
         a = build(FamilySpec.make("Windmill", t=3, a=2))[0]
         b = build(FamilySpec.make("CoreSatellite", c=1, t=3, a=2))[0]
         assert canonical_string(a) == canonical_string(b)
+
+
+    def test_dense_graph_capped(self):
+        spec = FamilySpec.make("Complete", n=MAX_EDGE_LIST_N + 1)
+        with pytest.raises(ValueError, match=f"Complete: n = {MAX_EDGE_LIST_N + 1}"):
+            build(spec)
+        with pytest.raises(ValueError, match=f"Complete: n = {MAX_EDGE_LIST_N + 1}"):
+            predict_main_count(spec)
+        assert canonical_string(build_cotree(spec)) == f"J({MAX_EDGE_LIST_N + 1})"
 
 
 class TestGolden:

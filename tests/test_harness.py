@@ -4,7 +4,9 @@ import pytest
 
 from qcograph.cli import main
 from qcograph.cotree import MAX_DEPTH, parse, to_graph
+from qcograph.families import FamilySpec, build
 from qcograph.graph import MAX_EDGE_LIST_N, format_edge_list
+from qcograph.recognition import classify
 from qcograph.sweep import sweep, sweep_to_csv
 from qcograph.verify import THEOREM_IDS, cases_to_csv, run_verify
 from test_cotree import alternating, threshold_chain
@@ -132,6 +134,22 @@ class TestSweep:
     def test_rows_lexicographic(self):
         _, rows = sweep({"family": "BipartiteJoin", "params": {"a": [2, 1], "b": [3, 1]}})
         assert [(r[0], r[1]) for r in rows] == [("1", "1"), ("1", "3"), ("2", "1"), ("2", "3")]
+
+    def test_columns_match_the_dense_graph(self):
+        header, rows = sweep({"family": "H3", "params": {"s": [1, 2], "a1": [1, 3], "a2": 2, "p": [2, 3]}})
+        names = header[: header.index("n")]
+        for row in rows:
+            cells = dict(zip(header, row))
+            t, g = build(FamilySpec.make("H3", **{k: int(cells[k]) for k in names}))
+            report = classify(g).to_json_dict()
+            assert (cells["n"], cells["m"]) == (str(g.n), str(g.m))
+            assert all(cells[flag] == str(report[flag]).lower() for flag in report if flag != "witness")
+
+    def test_above_the_dense_cap(self):
+        header, rows = sweep({"family": "Complete", "params": {"n": MAX_EDGE_LIST_N + 1}})
+        cells = dict(zip(header[1:], rows[0][1:]))
+        n = MAX_EDGE_LIST_N + 1
+        assert (cells["n"], cells["m"], cells["is_complete"]) == (str(n), str(n * (n - 1) // 2), "true")
 
     def test_csv_render(self):
         header, rows = sweep({"family": "Complete", "params": {"n": [2]}})
@@ -302,6 +320,30 @@ class TestCli:
         for theorem, grid in (("h-families", h_grid), ("gcs-count", gcs_grid)):
             a = cases_to_csv(run_verify(theorem, grid=grid))
             assert a == cases_to_csv(run_verify(theorem, grid=grid)) and "FAIL" not in a
+
+
+class TestFamilySizeCap:
+    BIG = json.dumps({"family": "Complete", "params": {"n": MAX_EDGE_LIST_N + 1}})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--family", BIG, "--emit", "edges"],
+            ["verify", "--theorem", "h-families", "--grid", '{"families":{"H1":[{"a":1,"b":2,"p":2048}]}}'],
+        ],
+    )
+    def test_dense_consumers_refuse(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(MAX_EDGE_LIST_N + 1) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["build", "--family", BIG], ["spectrum", "--family", BIG], ["sweep", "--family", BIG]],
+    )
+    def test_cotree_routes_have_no_cap(self, capsys, argv):
+        assert main(argv) == 0
+        assert str(MAX_EDGE_LIST_N + 1) in capsys.readouterr().out
 
 
 class TestBadEdgeLists:

@@ -4,12 +4,14 @@ from itertools import combinations
 
 import pytest
 
+import qcograph.recognition as recognition
 from qcograph.cotree import parse, to_graph
 from qcograph.enumeration import enumerate_cographs
-from qcograph.graph import Graph, components, induced_subgraph, join, union
+from qcograph.graph import Graph, bipartition, components, induced_subgraph, join, union
 from qcograph.recognition import (
     NotApplicable,
     classify,
+    cotree_flags,
     connectivity_report,
     find_induced,
     is_chordal,
@@ -149,6 +151,86 @@ class TestClassify:
         rep = classify(graph_of("J(3)"))
         data = json.loads(json.dumps(rep.to_json_dict()))
         assert data["is_complete"] is True and data["witness"] is None
+
+
+def reference_report(g):
+    """classify's report by the dense rule order: P4, then C4, then 2K2."""
+    p4, c4, two_k2 = (find_induced(g, pattern) for pattern in ("P4", "C4", "2K2"))
+    chordal = is_chordal(g)
+    qt = p4 is None and chordal
+    return {
+        "is_cograph": p4 is None,
+        "is_chordal": chordal,
+        "is_quasi_threshold": qt,
+        "is_threshold": qt and two_k2 is None,
+        "is_bipartite": bipartition(g) is not None,
+        "is_regular": is_regular(g),
+        "is_complete": is_complete(g),
+        "is_connected": is_connected(g),
+        "witness": list(p4 or c4 or two_k2) if (p4 or c4 or two_k2) else None,
+    }
+
+
+class TestCotreeFlags:
+    def test_every_cograph_to_ten_against_dense_definitions(self):
+        count = 0
+        for n in range(1, 11):
+            for s in enumerate_cographs(n).strings:
+                g = graph_of(s)
+                chordal = is_chordal(g)
+                dense = {
+                    "is_chordal": chordal,
+                    "is_quasi_threshold": chordal,
+                    "is_threshold": chordal and find_induced(g, "2K2") is None,
+                    "is_bipartite": bipartition(g) is not None,
+                    "is_regular": is_regular(g),
+                    "is_complete": is_complete(g),
+                    "is_connected": is_connected(g),
+                }
+                assert cotree_flags(parse(s)) == dense, s
+                count += 1
+        assert count == 6965
+
+    def test_random_graphs_match_dense_rule_order(self):
+        rng = random.Random(29)
+        for _ in range(1000):
+            n = rng.randint(1, 10)
+            p = rng.random()
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            assert classify(g).to_json_dict() == reference_report(g), g.edges()
+
+    def test_witness_searched_only_when_read(self, monkeypatch):
+        calls = []
+        search = recognition.find_induced
+
+        def counting(g, pattern):
+            calls.append(pattern)
+            return search(g, pattern)
+
+        monkeypatch.setattr(recognition, "find_induced", counting)
+        g = graph_of("J(1, U(J(2), J(3)))")  # quasi-threshold, not threshold
+        rep = classify(g)
+        assert rep.is_quasi_threshold and not rep.is_threshold
+        assert calls == []
+        assert rep.witness == search(g, "2K2") == (1, 2, 3, 4)
+        assert rep.witness == (1, 2, 3, 4)
+        assert calls == ["2K2"]
+
+    def test_cotree_input_equals_graph_input(self):
+        for n in range(1, 9):
+            for s in enumerate_cographs(n).strings:
+                t = parse(s)
+                assert classify(t) == classify(to_graph(t)), s
+
+    def test_reports_equal_iff_flags_and_witness_equal(self):
+        c4 = classify(graph_of("J(U(2),U(2))"))
+        assert c4 == classify(parse("J(U(2),U(2))")) and hash(c4) == hash(classify(parse("J(U(2),U(2))")))
+        # the same flags, with the C4 on other vertices
+        a, b = classify(graph_of("U(J(U(2),U(2)),1)")), classify(graph_of("U(1,J(U(2),U(2)))"))
+        assert a.to_json_dict() | {"witness": None} == b.to_json_dict() | {"witness": None}
+        assert a.witness == (0, 1, 2, 3) and b.witness == (1, 2, 3, 4) and a != b
+        with pytest.raises(AttributeError):
+            c4.is_chordal = True
 
 
 def kappa_brute_force(g):
