@@ -55,7 +55,6 @@ from .recognition import (
     find_induced,
     perfect_elimination_ordering,
     is_chordal,
-    is_quasi_threshold,
     is_regular,
     is_complete,
     is_connected,

@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cotree import Cotree, NotCograph, bags, from_graph
 from .graph import Graph, bipartition, complement, components, induced_subgraph
 from .recognition import (
     NotApplicable,
+    cotree_flags,
     is_complete,
-    is_connected,
-    is_quasi_threshold,
     is_regular,
     parse_generalized_core_satellite,
     universal_vertices,
@@ -204,7 +204,11 @@ def _predict_graph(g: Graph) -> MainCountPrediction:
             return MainCountPrediction(k=1, rule="CompleteGraph", premises=f"K_{g.n} is complete")
         d = int(g.degrees()[0]) if g.n else 0
         return MainCountPrediction(k=1, rule="Regular", premises=f"{d}-regular graph")
-    sat = parse_generalized_core_satellite(g)
+    try:
+        t = from_graph(g)
+    except NotCograph:
+        t = None
+    sat = None if t is None else parse_generalized_core_satellite(t)
     if sat is not None:
         return _predict_from_satellites(sat.n0, sat.satellites)
     uni = universal_vertices(g)
@@ -224,21 +228,10 @@ def _predict_graph(g: Graph) -> MainCountPrediction:
                 rule="JoinKcZeroNotMain",
                 premises=f"K_{len(uni)} joined to a remainder with {k_h} mains; 0 is not main in its complement",
             )
-    return _width_bound(g)
-
-
-def _width_bound(g: Graph) -> MainCountPrediction:
-    from .cotree import NotCograph, bags, from_graph
-
-    try:
-        width = bags(from_graph(g)).r
-        return MainCountPrediction(
-            k=width, rule="WidthBoundOnly", premises=f"cotree width {width} (upper bound only)"
-        )
-    except NotCograph:
-        return MainCountPrediction(
-            k=g.n, rule="WidthBoundOnly", premises="not a cograph; trivial order bound"
-        )
+    if t is None:
+        return MainCountPrediction(k=g.n, rule="WidthBoundOnly", premises="not a cograph; trivial order bound")
+    width = bags(t).r
+    return MainCountPrediction(k=width, rule="WidthBoundOnly", premises=f"cotree width {width} (upper bound only)")
 
 
 @dataclass(frozen=True)
@@ -259,19 +252,27 @@ class FormB:
     a: int
 
 
-def predict_two_main_forms(g: Graph) -> FormA | FormB | None:
+def predict_two_main_forms(source: Graph | Cotree) -> FormA | FormB | None:
     """Structural parse of the two-main characterization for connected
     quasi-threshold graphs; None when the graph matches neither shape.
 
-    Raises NotApplicable for disconnected or non-quasi-threshold input.
+    A graph is read through its cotree. Raises NotApplicable for an empty
+    graph, a non-cograph (not quasi-threshold, even when disconnected), and
+    disconnected or non-quasi-threshold cographs.
     """
-    if g.n < 1:
-        raise NotApplicable("empty graph")
-    if not is_connected(g):
+    if isinstance(source, Graph):
+        if source.n < 1:
+            raise NotApplicable("empty graph")
+        try:
+            source = from_graph(source)
+        except NotCograph:
+            raise NotApplicable("graph is not quasi-threshold") from None
+    flags = cotree_flags(source)
+    if not flags["is_connected"]:
         raise NotApplicable("graph is disconnected")
-    if not is_quasi_threshold(g):
+    if not flags["is_quasi_threshold"]:
         raise NotApplicable("graph is not quasi-threshold")
-    sat = parse_generalized_core_satellite(g)
+    sat = parse_generalized_core_satellite(source)
     if sat is None:
         return None
     if sat.p == 2 and all(a == 1 for a, _ in sat.satellites):

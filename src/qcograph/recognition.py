@@ -3,13 +3,14 @@ vertex connectivity, and the universal-clique decomposition."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, from_graph, normalize, to_graph
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, from_graph, leaf_count, normalize, to_graph
 from .graph import Graph, bipartition, components, induced_subgraph
 from .spectra import algebraic_connectivity
 
@@ -19,7 +20,6 @@ __all__ = [
     "find_induced",
     "perfect_elimination_ordering",
     "is_chordal",
-    "is_quasi_threshold",
     "is_regular",
     "is_complete",
     "is_connected",
@@ -136,19 +136,6 @@ def perfect_elimination_ordering(g: Graph) -> list[int] | None:
 
 def is_chordal(g: Graph) -> bool:
     return perfect_elimination_ordering(g) is not None
-
-
-def is_quasi_threshold(g: Graph) -> bool:
-    """Chordal cograph, by maximum-cardinality search and then the cotree
-    recursion, which non-chordal input skips. ``classify`` reads the same
-    flag off the cotree."""
-    if not is_chordal(g):
-        return False
-    try:
-        from_graph(g)
-    except NotCograph:
-        return False
-    return True
 
 
 def is_regular(g: Graph) -> bool:
@@ -268,16 +255,19 @@ def cotree_flags(t: Cotree) -> dict[str, bool]:
         "is_threshold": qt and not crowded[UNION],
         "is_bipartite": all(map(_bipartite_component, components)),
         "is_regular": regular,
-        "is_complete": isinstance(t, Leaf) or (is_join and all(isinstance(c, Leaf) for c in t.children)),
+        "is_complete": _flat(t, JOIN),
         "is_connected": isinstance(t, Leaf) or is_join,
     }
 
 
-def _bipartite_component(t: Cotree) -> bool:
-    def independent(c: Cotree) -> bool:
-        return isinstance(c, Leaf) or (c.kind == UNION and all(isinstance(x, Leaf) for x in c.children))
+def _flat(t: Cotree, kind: str) -> bool:
+    """A leaf, or a node of this kind whose children are all leaves: the
+    cotree of a clique (JOIN) or of an edgeless graph (UNION)."""
+    return isinstance(t, Leaf) or (t.kind == kind and all(isinstance(c, Leaf) for c in t.children))
 
-    return isinstance(t, Leaf) or (t.kind == JOIN and len(t.children) == 2 and all(map(independent, t.children)))
+
+def _bipartite_component(t: Cotree) -> bool:
+    return isinstance(t, Leaf) or (t.kind == JOIN and len(t.children) == 2 and all(_flat(c, UNION) for c in t.children))
 
 
 def classify(source: Graph | Cotree) -> ClassificationReport:
@@ -432,7 +422,7 @@ def universal_clique_decomposition(g: Graph) -> UniversalCliqueDecomposition:
         raise NotApplicable("graph is complete")
     if not is_connected(g):
         raise NotApplicable("graph is disconnected")
-    if not is_quasi_threshold(g):
+    if not classify(g).is_quasi_threshold:
         raise NotApplicable("graph is not quasi-threshold")
     clique = universal_vertices(g)
     if not clique:
@@ -466,25 +456,34 @@ class SatelliteSpec:
         return sum(a for a, _ in self.satellites)
 
 
-def parse_generalized_core_satellite(g: Graph) -> SatelliteSpec | None:
-    """Recognize K_{n0} joined with a union of complete satellites.
+def parse_generalized_core_satellite(source: Graph | Cotree) -> SatelliteSpec | None:
+    """Recognize K_{n0} joined with a union of complete satellites, on the cotree.
 
-    The core is the set of universal vertices; every component of the rest
-    must be complete. Returns None otherwise: for graphs without a universal
-    vertex (disconnected ones among them), for complete graphs (a
-    one-satellite reading is rejected), and whenever some component of the
-    remainder is not complete. Every graph recognized is quasi-threshold.
+    The normalized cotree must be a J root with n0 >= 1 leaf children (the
+    core) and exactly one other child, which normalization makes a U-node;
+    each child of that U-node must be a leaf or a J-node of leaves (a
+    satellite). Returns None otherwise: for non-cographs, disconnected and
+    complete graphs (a one-satellite reading is rejected), and whenever some
+    satellite is not complete. Every graph recognized is quasi-threshold.
+
+    A graph goes through ``from_graph``, so one whose cotree nests deeper
+    than MAX_DEPTH raises its ValueError.
     """
-    core = universal_vertices(g)
-    if not core or len(core) == g.n:
-        return None
-    core_set = set(core)
-    h = induced_subgraph(g, [v for v in range(g.n) if v not in core_set])
-    degs = h.degrees()
-    orders: dict[int, int] = {}
-    for block in components(h):
-        if any(degs[v] != len(block) - 1 for v in block):
+    if isinstance(source, Graph):
+        try:
+            source = from_graph(source)
+        except NotCograph:
             return None
-        orders[len(block)] = orders.get(len(block), 0) + 1
+    t = normalize(source)
+    if not (isinstance(t, Internal) and t.kind == JOIN):
+        return None
+    rest = [c for c in t.children if isinstance(c, Internal)]
+    n0 = len(t.children) - len(rest)
+    if n0 == 0 or len(rest) != 1:
+        return None
+    kids = rest[0].children
+    if not all(_flat(c, JOIN) for c in kids):
+        return None
+    orders = Counter(map(leaf_count, kids))
     satellites = tuple(sorted(((count, order) for order, count in orders.items()), key=lambda x: x[1]))
-    return SatelliteSpec(n0=len(core), satellites=satellites)
+    return SatelliteSpec(n0=n0, satellites=satellites)

@@ -255,9 +255,10 @@ def q_spectrum(
 
 
 def q_spectrum_cotree(
-    t: Cotree, tol_group: float | None = None, tol_main: float | None = None
+    t: Cotree | BagRepresentation, tol_group: float | None = None, tol_main: float | None = None
 ) -> QSpectrumReport:
-    """The report of q_spectrum for the graph of t, computed from its bags.
+    """The report of q_spectrum for the graph of t, computed from its bags
+    (or from ``bags(t)`` itself, for a caller that already holds it).
 
     Inside a bag of t leaves, the t - 1 twin differences e_u - e_v are
     Q-eigenvectors with eigenvalue p - 1 (J-bag) or p (U-bag), all orthogonal
@@ -267,7 +268,7 @@ def q_spectrum_cotree(
     only C's eigenvectors carry projection norm. The defaults equal the dense
     ones: the infinity norm of Q is twice the largest degree.
     """
-    b = bags(t)
+    b = t if isinstance(t, BagRepresentation) else bags(t)
     c = condensed(b)
     n = b.n
     if tol_group is None:

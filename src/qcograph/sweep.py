@@ -64,8 +64,8 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
         start = time.perf_counter()
         spec = FamilySpec.make(family, **dict(zip(names, values)))
         t = build_cotree(spec)
-        rep = q_spectrum_cotree(t)
         b = bags(t)
+        rep = q_spectrum_cotree(b)
         m = sum(bag.t * bag.p for bag in b.bags) // 2
         report = classify(t)
         ms = (time.perf_counter() - start) * 1000.0

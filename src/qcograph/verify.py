@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .cotree import JOIN, Internal, Leaf, bags, normalize, parse, to_graph
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, bags, normalize, parse, to_graph
 from .enumeration import enumerate_cographs
 from .families import FamilySpec, build, build_cotree, default_grid, default_grids, expected_mains
 from .graph import Graph, bipartition, complement, join, union
@@ -18,6 +18,7 @@ from .oracle import (
     predict_two_main_forms,
     sigma_bipartite_join,
     sigma_complete,
+    zero_is_q_main,
 )
 from .recognition import (
     classify,
@@ -61,10 +62,11 @@ def _case(case_id: str, input_: str, predicted: str, computed: str, ok: bool, re
     )
 
 
-def _iter_enumerated(max_n: int, min_n: int = 1) -> Iterator[tuple[str, Graph]]:
+def _iter_enumerated(max_n: int, min_n: int = 1) -> Iterator[tuple[str, Cotree, Graph]]:
     for n in range(min_n, max_n + 1):
         for s in enumerate_cographs(n).strings:
-            yield s, to_graph(parse(s))
+            t = parse(s)
+            yield s, t, to_graph(t)
 
 
 def _approx_subset(xs: list[float], ys: list[float]) -> float:
@@ -93,8 +95,8 @@ def _fmt_vals(vals: list[float]) -> str:
 def _verify_width_bound(max_n: int = 9) -> list[VerificationCase]:
     """Number of main eigenvalues never exceeds the cotree width."""
     out = []
-    for s, g in _iter_enumerated(max_n):
-        r = bags(parse(s)).r
+    for s, t, g in _iter_enumerated(max_n):
+        r = bags(t).r
         k = q_spectrum(g).main_count
         out.append(
             _case(f"width-bound[{s}]", s, f"k <= {r}", f"k = {k}", k <= r, max(0, k - r))
@@ -105,7 +107,7 @@ def _verify_width_bound(max_n: int = 9) -> list[VerificationCase]:
 def _verify_complement_invariance(max_n: int = 9, random_graphs: int = 200) -> list[VerificationCase]:
     """A graph and its complement have the same number of main eigenvalues."""
     out = []
-    for s, g in _iter_enumerated(max_n):
+    for s, _, g in _iter_enumerated(max_n):
         k = q_spectrum(g).main_count
         kc = q_spectrum(complement(g)).main_count
         out.append(
@@ -194,12 +196,12 @@ def _verify_two_main_characterization(max_n: int = 10) -> list[VerificationCase]
     """Connected quasi-threshold graphs: exactly two mains iff clique-join of
     two distinct-order satellites or of t>=2 equal-order satellites."""
     out = []
-    for s, g in _iter_enumerated(max_n):
-        report = classify(g)
+    for s, t, g in _iter_enumerated(max_n):
+        report = classify(t)
         if not (report.is_connected and report.is_quasi_threshold):
             continue
         k = q_spectrum(g).main_count
-        form = predict_two_main_forms(g)
+        form = predict_two_main_forms(t)
         ok = (k == 2) == (form is not None)
         out.append(
             _case(
@@ -245,16 +247,14 @@ def _verify_join_kc(max_n: int = 8) -> list[VerificationCase]:
     bipartite one (smallest case: the star on 4 vertices).
     """
     out = []
-    for s, g in _iter_enumerated(max_n):
-        rep = q_spectrum(g)
-        k = rep.main_count
+    for s, _, g in _iter_enumerated(max_n):
+        k = q_spectrum(g).main_count
         if k < 2:
             continue
         comp = complement(g)
-        comp_rep = q_spectrum(comp)
         comp_connected = is_connected(comp)
         non_bip = bipartition(comp) is None
-        zero_main = any(abs(v) <= comp_rep.tol_group for v in comp_rep.main_values())
+        zero_main = zero_is_q_main(comp)
         want_bip = k + 1 if non_bip else k
         want_zero = k if zero_main else k + 1
         for c in (1, 2):
@@ -415,7 +415,7 @@ def _verify_h_families(grids: dict[str, list[FamilySpec]] | None = None) -> list
     all_grids = grids if grids is not None else default_grids()
     for family in sorted(all_grids):
         for spec in all_grids[family]:
-            t, g = build(spec)
+            t = build_cotree(spec)
             desc = str(spec.to_json_dict())
             want = expected_mains(spec)
             rep = q_spectrum_cotree(t)
@@ -427,8 +427,8 @@ def _verify_h_families(grids: dict[str, list[FamilySpec]] | None = None) -> list
             )
             if rep.main_count != 2:
                 continue  # join law below presumes two mains (grids ensure it)
-            for c in (1, 2, 3):
-                k_c_join = normalize(Internal(JOIN, (Leaf(),) * c + (t,)))  # K_c joined onto t
+            k_c_joins = [normalize(Internal(JOIN, (Leaf(),) * c + (t,))) for c in (1, 2, 3)]
+            for c, k_c_join in enumerate(k_c_joins, start=1):
                 kj = q_spectrum_cotree(k_c_join).main_count
                 out.append(
                     _case(
@@ -440,11 +440,12 @@ def _verify_h_families(grids: dict[str, list[FamilySpec]] | None = None) -> list
                         abs(kj - 3),
                     )
                 )
-            # the joined graph is generalized core-satellite iff every
-            # component of the family instance is complete
-            joined = join(Graph.complete(1), g)
-            sat = parse_generalized_core_satellite(joined)
-            all_complete = _all_components_complete(g)
+            # the K_1 join is generalized core-satellite iff every component
+            # of the instance (the root, or each child of a U root) is
+            # complete: of order k with sum t*p = k(k-1) over its bags
+            sat = parse_generalized_core_satellite(k_c_joins[0])
+            parts = t.children if isinstance(t, Internal) and t.kind == UNION else (t,)
+            all_complete = all(sum(x.t * x.p for x in b.bags) == b.n * (b.n - 1) for b in map(bags, parts))
             ok = (sat is not None) == all_complete
             out.append(
                 _case(
@@ -459,17 +460,11 @@ def _verify_h_families(grids: dict[str, list[FamilySpec]] | None = None) -> list
     return out
 
 
-def _all_components_complete(g: Graph) -> bool:
-    from .graph import components, induced_subgraph
-
-    return all(is_complete(induced_subgraph(g, block)) for block in components(g))
-
-
 def _verify_kappa_eq_a(max_n: int = 8) -> list[VerificationCase]:
     """Vertex connectivity equals algebraic connectivity on connected
     non-complete cographs (complete graphs have kappa = n-1 but a = n)."""
     out = []
-    for s, g in _iter_enumerated(max_n, min_n=2):
+    for s, _, g in _iter_enumerated(max_n, min_n=2):
         if not is_connected(g) or is_complete(g):
             continue
         rep = connectivity_report(g, tol=KAPPA_TOL)
@@ -491,8 +486,8 @@ def _verify_kappa_eq_a(max_n: int = 8) -> list[VerificationCase]:
 def _verify_regular_chordal_complete(max_n: int = 8) -> list[VerificationCase]:
     """Connected regular chordal cographs are complete."""
     out = []
-    for s, g in _iter_enumerated(max_n):
-        report = classify(g)
+    for s, t, _ in _iter_enumerated(max_n):
+        report = classify(t)
         if not (report.is_connected and report.is_regular and report.is_chordal):
             continue
         out.append(
@@ -512,9 +507,9 @@ def _verify_nonmain_multiplicities(max_n: int = 9) -> list[VerificationCase]:
     """Each J-bag forces eigenvalue p-1 (U-bag: p) with multiplicity >= t-1,
     and those eigenvalues are non-main when they exhaust the spectrum."""
     out = []
-    for s, g in _iter_enumerated(max_n):
+    for s, t, g in _iter_enumerated(max_n):
         rep = q_spectrum(g)
-        b = bags(parse(s))
+        b = bags(t)
         shortfall = 0
         detail = []
         for bag in b.bags:

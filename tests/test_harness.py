@@ -324,12 +324,15 @@ class TestCli:
 
 class TestFamilySizeCap:
     BIG = json.dumps({"family": "Complete", "params": {"n": MAX_EDGE_LIST_N + 1}})
+    GCS_BIG = json.dumps(
+        {"specs": [{"family": "GeneralizedCoreSatellite", "params": {"n0": MAX_EDGE_LIST_N, "satellites": [[1, 1]]}}]}
+    )
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["build", "--family", BIG, "--emit", "edges"],
-            ["verify", "--theorem", "h-families", "--grid", '{"families":{"H1":[{"a":1,"b":2,"p":2048}]}}'],
+            ["verify", "--theorem", "gcs-count", "--grid", GCS_BIG],
         ],
     )
     def test_dense_consumers_refuse(self, capsys, argv):
@@ -344,6 +347,12 @@ class TestFamilySizeCap:
     def test_cotree_routes_have_no_cap(self, capsys, argv):
         assert main(argv) == 0
         assert str(MAX_EDGE_LIST_N + 1) in capsys.readouterr().out
+
+    def test_h_families_has_no_cap(self, capsys):
+        # two stars K_{1,2048}: n = 4098
+        grid = '{"families":{"H2p":[{"b":2048,"p":2}]}}'
+        assert main(["verify", "--theorem", "h-families", "--grid", grid]) == 0
+        assert "h-families: 5/5 cases pass" in capsys.readouterr().out
 
 
 class TestBadEdgeLists:

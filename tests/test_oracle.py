@@ -257,3 +257,22 @@ class TestPredictTwoMainForms:
     def test_non_qt_not_applicable(self):
         with pytest.raises(NotApplicable):
             predict_two_main_forms(graph_of("J(U(2),U(2))"))
+
+    def test_disconnected_non_cograph_reads_not_quasi_threshold(self):
+        p4_and_k1 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(NotApplicable, match="not quasi-threshold"):
+            predict_two_main_forms(p4_and_k1)
+
+    def test_cotree_matches_graph(self):
+        from qcograph.enumeration import enumerate_cographs
+
+        def outcome(source):
+            try:
+                return predict_two_main_forms(source)
+            except NotApplicable as exc:
+                return f"NotApplicable: {exc}"
+
+        for n in range(1, 10):
+            for s in enumerate_cographs(n).strings:
+                t = parse(s)
+                assert outcome(t) == outcome(to_graph(t)), s

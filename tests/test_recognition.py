@@ -17,7 +17,6 @@ from qcograph.recognition import (
     is_chordal,
     is_complete,
     is_connected,
-    is_quasi_threshold,
     is_regular,
     parse_generalized_core_satellite,
     perfect_elimination_ordering,
@@ -325,15 +324,6 @@ class TestUniversalCliqueDecomposition:
             assert rebuilt == relabeled, s
 
 
-class TestIsQuasiThreshold:
-    def test_matches_classify(self):
-        rng = random.Random(11)
-        graphs = [graph_of(s) for n in range(1, 8) for s in enumerate_cographs(n).strings]
-        graphs += [random_graph(rng, rng.randint(1, 8)) for _ in range(200)]
-        for g in graphs:
-            assert is_quasi_threshold(g) == classify(g).is_quasi_threshold
-
-
 def reference_core_satellite(g):
     """The parser's former route: QT check, universal-clique split, then
     every component of the remainder complete."""
@@ -355,10 +345,11 @@ class TestParseGeneralizedCoreSatellite:
         return None if sat is None else (sat.n0, sat.satellites)
 
     def test_matches_reference_on_enumeration(self):
-        for n in range(1, 10):
+        for n in range(1, 11):
             for s in enumerate_cographs(n).strings:
-                g = graph_of(s)
-                assert self._parsed(g) == reference_core_satellite(g), s
+                t = parse(s)
+                g = to_graph(t)
+                assert self._parsed(t) == self._parsed(g) == reference_core_satellite(g), s
 
     def test_matches_reference_on_kc_joins(self):
         rng = random.Random(3)
