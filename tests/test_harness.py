@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -31,6 +33,36 @@ class TestVerifySuites:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError, match="unknown theorem"):
             run_verify("no-such-theorem")
+
+    # (cases, passed, sha1 of the newline-joined case ids); ids only, so no
+    # solver float is pinned
+    PINNED = {
+        "complement-invariance": (241, 241, "9616eb409710dd5152107915e4ea891ca339f7fa"),
+        "gcs-count": (522, 522, "51b168751d93e1969e236172fc92d25187839a04"),
+        "h-families": (10, 10, "49753774d3fbd7f07d7ba217154dcdc2f24bb137"),
+        "join-kc": (90, 90, "0be6017c151426fb79c170512f219d7959ab3a8b"),
+        "kappa-eq-a": (16, 16, "196c504fcfea8eb5b906cabc36550ac6fec42f6c"),
+        "nonmain-multiplicities": (41, 41, "593811c04cb362ba8d2c59e2b4d33011e3d0852b"),
+        "regular-chordal-complete": (5, 5, "cd7145109b2331593ee94d7696a805e5456cf36a"),
+        "spectra-closed-forms": (109, 109, "3a58bc704ddf811c1d492e9f23ac0f7430673edd"),
+        "two-main-characterization": (17, 17, "52111198089ab179e22ea118748e925ea43ce35c"),
+        "width-bound": (41, 41, "fe491876b7bd4129449faaeb340b904f6ae0ac70"),
+        "zero-main-union": (350, 350, "855fbb6805d02b845bbbc3893ebf674c55ff08b5"),
+    }
+
+    def test_case_ids_pinned(self):
+        h_grid = {"families": {"H1": [{"a": 2, "b": 3, "p": 2}], "H6": [{"s": 1, "p1": 1, "p2": 1, "p3": 1}]}}
+        got = {}
+        for theorem in THEOREM_IDS:
+            if theorem == "h-families":
+                cases = run_verify(theorem, grid=h_grid)
+            elif theorem in ("gcs-count", "spectra-closed-forms"):
+                cases = run_verify(theorem)
+            else:
+                cases = run_verify(theorem, max_n=5)
+            digest = hashlib.sha1("\n".join(c.case_id for c in cases).encode()).hexdigest()
+            got[theorem] = (len(cases), sum(c.passed for c in cases), digest)
+        assert got == self.PINNED
 
     def test_width_bound_small(self):
         cases = run_verify("width-bound", max_n=5)
