@@ -103,10 +103,10 @@ class TestVerifySuites:
         with pytest.raises(ValueError, match="--max-n"):
             run_verify("spectra-closed-forms", max_n=5)
 
-    def test_max_n_suites_from_signatures(self, capsys):
-        from qcograph.verify import _MAX_N_SUITES
+    def test_max_n_suites(self, capsys):
+        from qcograph.verify import _SUITES
 
-        assert _MAX_N_SUITES == {
+        assert {tid for tid, s in _SUITES.items() if s.max_n is not None} == {
             "width-bound",
             "complement-invariance",
             "zero-main-union",
@@ -118,6 +118,24 @@ class TestVerifySuites:
         }
         assert main(["verify", "--theorem", "gcs-count", "--max-n", "5"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--theorem", "width-bound", "--max-n", "0"],
+            ["--theorem", "width-bound", "--max-n", "-3"],
+            ["--theorem", "width-bound", "--max-n", "12"],
+            ["--theorem", "gcs-count", "--grid", '{"specs": []}'],
+            ["--theorem", "h-families", "--grid", '{"families": {}}'],
+            ["--theorem", "h-families", "--grid", '{"families": {"H1": []}}'],
+        ],
+    )
+    def test_bad_bound_or_empty_grid_is_usage_error(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(["verify", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_join_kc_reports_both_forms(self):
         # the bipartite phrasing is exact only where the complement is
