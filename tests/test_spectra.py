@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcograph.cotree import JOIN, Internal, Leaf, bags, from_graph, normalize, parse, to_graph
 from qcograph.enumeration import enumerate_cographs
-from qcograph.families import build, default_grids
+from qcograph.families import FamilySpec, build, default_grids
 from qcograph.graph import Graph, bipartition, components, induced_subgraph, join
 from qcograph.spectra import (
     algebraic_connectivity,
@@ -65,6 +66,16 @@ class TestMatrices:
             laplacian(Graph.empty(0))
 
 
+# graphs whose Q has exact zeros and large eigenspaces, which random dense
+# matrices rarely give
+GRAPH_Q_CASES = {
+    "dense-join-93": lambda: graph_of("J(3, U(2*J(6,U(7,8)),2*J(17),2*J(7)))"),
+    "K30": lambda: Graph.complete(30),
+    "H3": lambda: build(FamilySpec.make("H3", s=3, a1=4, a2=4, p=3))[1],
+    "H5": lambda: build(FamilySpec.make("H5", a=5, p1=3, p2=3, p3=3))[1],
+}
+
+
 class TestJacobi:
     def test_identity(self):
         dec = jacobi_eigh(np.eye(3))
@@ -99,12 +110,42 @@ class TestJacobi:
         assert np.linalg.norm(m @ dec.vectors - dec.vectors * dec.values) <= 1e-10 * max(1, norm)
         assert np.linalg.norm(dec.vectors.T @ dec.vectors - np.eye(n)) <= 1e-12 * n
 
+    @pytest.mark.parametrize("label", sorted(GRAPH_Q_CASES))
+    def test_graph_q_with_zeros_and_large_eigenspaces(self, label):
+        # exact zeros exercise the skipped rotations, twins the repeated values
+        m = signless_laplacian(GRAPH_Q_CASES[label]())
+        n = m.shape[0]
+        norm = np.linalg.norm(m)
+        dec = jacobi_eigh(m)
+        assert np.max(np.abs(dec.values - np.linalg.eigvalsh(m))) <= 1e-9 * norm
+        assert np.linalg.norm(m @ dec.vectors - dec.vectors * dec.values) <= 1e-10 * norm
+        assert np.linalg.norm(dec.vectors.T @ dec.vectors - np.eye(n)) <= 1e-12 * n
+
     def test_deterministic(self):
         m = signless_laplacian(graph_of("J(3, U(J(2), J(4)))"))
         a = jacobi_eigh(m)
         b = jacobi_eigh(m)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
+
+    def test_group_signatures_pinned(self):
+        # per cograph with n <= 8: group multiplicities and main flags by the
+        # dense, cotree and condensed routes; no floats, so a change of solver
+        # float noise passes and a changed group or flag does not
+        def signature(groups):
+            return ",".join(f"{grp.multiplicity}{'m' if grp.main else '-'}" for grp in groups)
+
+        lines = []
+        for n in range(1, 9):
+            for s in enumerate_cographs(n).strings:
+                t = parse(s)
+                dense = signature(q_spectrum(to_graph(t)).groups)
+                cotree = signature(q_spectrum_cotree(bags(t)).groups)
+                cond = "".join("m" if main else "-" for _, main in main_eigs_condensed(condensed(bags(t))))
+                lines.append(f"{s}|{dense}|{cotree}|{cond}")
+        assert len(lines) == 809
+        digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+        assert digest == "22ec09576d58bc7917a84565b56381e84ddf03bd"
 
 
 class TestQSpectrum:
