@@ -58,12 +58,18 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
 
     Sweeps the strict upper triangle in row order until the off-diagonal
     Frobenius norm drops below 1e-12 of the matrix norm. Deterministic:
-    fixed sweep order, no pivot search.
+    fixed sweep order, no pivot search. The input must be finite and exactly
+    symmetric (ValueError otherwise): each rotation writes rows p and q as
+    the transpose of the rotated columns p and q.
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
     if n == 0 or a.shape != (n, n):
         raise ValueError(f"need a non-empty square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("need a finite matrix, got a NaN or infinite entry")
+    if not np.array_equal(a, a.T):
+        raise ValueError("need an exactly symmetric matrix")
     v = np.eye(n)
     norm = float(np.linalg.norm(a))
     if norm == 0.0 or n == 1:
@@ -78,30 +84,25 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
             return _sorted_decomposition(np.diag(a).copy(), v)
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a.item(p, q)
                 if abs(apq) <= skip:
                     continue
-                app = a[p, p]
-                aqq = a[q, q]
+                app = a.item(p, p)
+                aqq = a.item(q, q)
                 tau = (aqq - app) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
+                rot = np.array([[c, s], [-s, c]])
+                pq = slice(p, q + 1, q - p)  # columns p and q as one view
+                # off the 2x2 block a rotated row equals the rotated column
+                cols = a[:, pq] @ rot
+                a[:, pq] = cols
+                a[pq, :] = cols.T
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = c * col_p - s * col_q
-                v[:, q] = s * col_p + c * col_q
+                v[:, pq] = v[:, pq] @ rot
     raise SolverError(f"Jacobi sweep cap ({_MAX_SWEEPS}) exceeded for order {n}")
 
 

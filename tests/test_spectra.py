@@ -121,6 +121,21 @@ class TestJacobi:
         assert np.linalg.norm(m @ dec.vectors - dec.vectors * dec.values) <= 1e-10 * norm
         assert np.linalg.norm(dec.vectors.T @ dec.vectors - np.eye(n)) <= 1e-12 * n
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, 2.0], [0.0, 1.0]],  # true eigenvalues 1, 1; an upper-triangle solve says -1, 3
+            [[1.0, 1.0 + 1e-15], [1.0, 1.0]],
+            [[math.nan, 1.0], [1.0, 0.0]],
+            [[0.0, math.inf], [math.inf, 0.0]],
+            [[-math.inf]],
+        ],
+        ids=["asymmetric", "asymmetric-by-one-ulp", "nan", "inf", "inf-1x1"],
+    )
+    def test_rejects_non_finite_or_asymmetric(self, matrix):
+        with pytest.raises(ValueError):
+            jacobi_eigh(np.array(matrix))
+
     def test_deterministic(self):
         m = signless_laplacian(graph_of("J(3, U(J(2), J(4)))"))
         a = jacobi_eigh(m)
