@@ -125,7 +125,7 @@ class TestJacobi:
         "matrix",
         [
             [[1.0, 2.0], [0.0, 1.0]],  # true eigenvalues 1, 1; an upper-triangle solve says -1, 3
-            [[1.0, 1.0 + 1e-15], [1.0, 1.0]],
+            [[1.0, np.nextafter(1.0, 2.0)], [1.0, 1.0]],
             [[math.nan, 1.0], [1.0, 0.0]],
             [[0.0, math.inf], [math.inf, 0.0]],
             [[-math.inf]],
