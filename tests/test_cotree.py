@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qcograph.cotree import (
     Bag,
+    Cotree,
     CotreeSyntaxError,
     Internal,
     JOIN,
@@ -16,6 +18,7 @@ from qcograph.cotree import (
     canonical_string,
     canonicalize,
     complement_cotree,
+    find_p4,
     from_graph,
     leaf_count,
     normalize,
@@ -23,7 +26,7 @@ from qcograph.cotree import (
     to_graph,
 )
 from qcograph.enumeration import enumerate_cographs, enumerate_cotrees
-from qcograph.graph import Graph, induced_subgraph
+from qcograph.graph import Graph, complement, induced_subgraph
 
 
 def alternating(depth: int) -> str:
@@ -202,6 +205,104 @@ class TestFromGraph:
         assert leaf_count(from_graph(threshold_chain(MAX_DEPTH + 1))) == MAX_DEPTH + 1
         with pytest.raises(ValueError, match="MAX_DEPTH"):
             from_graph(threshold_chain(MAX_DEPTH + 2))
+
+
+def reference_to_graph(t: Cotree) -> Graph:
+    """Recursive to_graph: one Graph per node, children's blocks on the diagonal."""
+    t = normalize(t)
+
+    def build(node: Cotree) -> Graph:
+        if isinstance(node, Leaf):
+            return Graph.complete(1)
+        parts = [build(c) for c in node.children]
+        total = sum(p.n for p in parts)
+        a = np.zeros((total, total), dtype=bool)
+        if node.kind == JOIN:
+            a[:, :] = True
+        off = 0
+        for p in parts:
+            a[off : off + p.n, off : off + p.n] = p.adj
+            off += p.n
+        if node.kind == JOIN:
+            np.fill_diagonal(a, False)
+        return Graph(a)
+
+    return build(t)
+
+
+def reference_components(g: Graph) -> list[list[int]]:
+    """Components by breadth-first search, sorted blocks ordered by smallest member."""
+    seen = np.zeros(g.n, dtype=bool)
+    blocks = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        queue = [start]
+        seen[start] = True
+        block = []
+        while queue:
+            v = queue.pop()
+            block.append(v)
+            for w in np.nonzero(g.adj[v] & ~seen)[0]:
+                seen[w] = True
+                queue.append(int(w))
+        blocks.append(sorted(block))
+    return blocks
+
+
+def reference_from_graph(g: Graph) -> Cotree:
+    """Recursive from_graph: components, else co-components, else the first P4."""
+
+    class NoCotree(Exception):
+        pass
+
+    def build(sub: Graph) -> Cotree:
+        if sub.n == 1:
+            return Leaf()
+        kind, parts = UNION, reference_components(sub)
+        if len(parts) == 1:
+            kind, parts = JOIN, reference_components(complement(sub))
+            if len(parts) == 1:
+                raise NoCotree
+        return Internal(kind, tuple(build(induced_subgraph(sub, c)) for c in parts))
+
+    try:
+        return build(g)
+    except NoCotree:
+        raise NotCograph(find_p4(g)) from None
+
+
+class TestConversionsPinned:
+    """to_graph and from_graph agree with the recursive one-Graph-per-node reference."""
+
+    def test_every_cograph_up_to_10(self):
+        for n in range(1, 11):
+            for t in enumerate_cotrees(n):
+                g = to_graph(t)
+                assert g == reference_to_graph(t), canonical_string(t)
+                assert from_graph(g) == reference_from_graph(g), canonical_string(t)
+
+    def test_random_graphs_up_to_10(self):
+        rng = random.Random(10)
+        cographs = 0
+        for _ in range(1000):
+            n = rng.randint(1, 10)
+            density = rng.random()
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+            )
+            try:
+                expected = reference_from_graph(g)
+            except NotCograph as exc:
+                with pytest.raises(NotCograph) as got:
+                    from_graph(g)
+                assert got.value.witness == exc.witness
+                continue
+            t = from_graph(g)
+            assert t == expected
+            assert to_graph(t) == reference_to_graph(t)
+            cographs += 1
+        assert 200 < cographs < 800
 
 
 class TestBags:
