@@ -8,11 +8,12 @@ makes the representation canonical up to child order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, complement, components, induced_subgraph
+from .graph import Graph, neighbourhood_masks, split_components
 
 __all__ = [
     "Leaf",
@@ -70,14 +71,58 @@ class NotCograph(Exception):
         self.witness = witness
 
 
-class _NoCotree(Exception):
-    pass
+def _leaf_counts(t: Cotree) -> dict[int, int]:
+    """Leaf count of every internal node under t, keyed by id(node).
+
+    A leaf, absent from the dict, counts 1: read counts with sizes.get(id(node), 1).
+    Each distinct node is counted once, so repeated subtrees (those of
+    "k*expr" share one object) cost nothing extra.
+    """
+    sizes: dict[int, int] = {}
+    stack = [t] if isinstance(t, Internal) else []
+    while stack:
+        node = stack[-1]
+        pending = [c for c in node.children if isinstance(c, Internal) and id(c) not in sizes]
+        if pending:
+            stack.extend(pending)
+            continue
+        sizes[id(node)] = sum(sizes.get(id(c), 1) for c in node.children)
+        stack.pop()
+    return sizes
 
 
 def leaf_count(t: Cotree) -> int:
     if isinstance(t, Leaf):
         return 1
     return sum(leaf_count(c) for c in t.children)
+
+
+def _internal_nodes(t: Cotree, sizes: dict[int, int]):
+    """Yield (node, first leaf position) for the internal nodes of t, parents first.
+
+    Leaf positions are those of to_graph: leaves numbered in DFS order.
+    """
+    stack = [(t, 0)] if isinstance(t, Internal) else []
+    while stack:
+        node, lo = stack.pop()
+        yield node, lo
+        for c in node.children:
+            if isinstance(c, Internal):
+                stack.append((c, lo))
+            lo += sizes.get(id(c), 1)
+
+
+def _block_fill(size: int, blocks) -> np.ndarray:
+    """Adjacency of a cotree from its nodes' (lo, hi, kind) ranges, parents first.
+
+    Each range's block is set to kind == JOIN and later, deeper ranges
+    overwrite their sub-blocks, so each pair ends up set by its LCA.
+    """
+    a = np.zeros((size, size), dtype=bool)
+    for lo, hi, kind in blocks:
+        a[lo:hi, lo:hi] = kind == JOIN
+    np.fill_diagonal(a, False)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +136,12 @@ def leaf_count(t: Cotree) -> int:
 # copies; K(n)/E(n) are the complete/edgeless graphs on n vertices. All
 # integers must be >= 1. The result is returned in normalized form.
 #
-# U/J nodes nest at most MAX_DEPTH deep. The parser and the tree walks after
-# it (normalize, to_graph, bags, ...) recurse once or more per level, and the
-# cap keeps them well inside Python's recursion limit. from_graph applies the
-# same cap to graph input.
+# U/J nodes nest at most MAX_DEPTH deep. The parser and the tree walks
+# normalize (which to_graph and bags call first), _canon, leaf_count and
+# recognition.cotree_flags recurse once or more per level, and the cap keeps
+# them well inside Python's recursion limit. from_graph, and the to_graph and
+# bags walks, use an explicit stack; from_graph still applies the cap to graph
+# input, because the cotree it returns goes on to the recursive walks.
 # ---------------------------------------------------------------------------
 
 MAX_DEPTH = 256
@@ -243,55 +290,50 @@ def canonical_string(t: Cotree) -> str:
 def to_graph(t: Cotree) -> Graph:
     """Build the graph of a cotree: leaves in DFS order, adjacency iff the LCA is a join."""
     t = normalize(t)
-
-    def build(node: Cotree) -> Graph:
-        if isinstance(node, Leaf):
-            return Graph.complete(1)
-        parts = [build(c) for c in node.children]
-        total = sum(p.n for p in parts)
-        a = np.zeros((total, total), dtype=bool)
-        if node.kind == JOIN:
-            a[:, :] = True
-        off = 0
-        for p in parts:
-            a[off : off + p.n, off : off + p.n] = p.adj
-            off += p.n
-        if node.kind == JOIN:
-            np.fill_diagonal(a, False)
-        return Graph(a)
-
-    return build(t)
+    sizes = _leaf_counts(t)
+    blocks = [(lo, lo + sizes[id(node)], node.kind) for node, lo in _internal_nodes(t, sizes)]
+    return Graph(_block_fill(sizes.get(id(t), 1), blocks))
 
 
 def from_graph(g: Graph) -> Cotree:
-    """Recover a normalized cotree by complement-reducibility recursion.
+    """Recover a normalized cotree by complement-reducibility.
 
     Single vertex -> leaf; disconnected -> union over components; complement
-    disconnected -> join over co-components. Raises NotCograph with an
-    induced-P4 witness otherwise, and ValueError when the cotree would nest
-    deeper than MAX_DEPTH internal nodes (the parser's cap).
+    disconnected -> join over co-components. Vertex sets are int bitmasks
+    split with the neighbourhood masks of g and of its complement, in DFS
+    order, so children keep the order of their smallest vertices. Raises
+    NotCograph with the first induced-P4 witness (find_p4) otherwise, and
+    ValueError when the cotree would nest deeper than MAX_DEPTH internal
+    nodes (the parser's cap), whichever the DFS meets first.
     """
     if g.n < 1:
         raise ValueError("from_graph requires at least one vertex")
-
-    def build(sub: Graph, depth: int) -> Cotree:
-        if sub.n == 1:
-            return Leaf()
-        kind, parts = UNION, components(sub)
+    nbr = neighbourhood_masks(g.adj)
+    full = (1 << g.n) - 1
+    co = [full & ~m & ~(1 << v) for v, m in enumerate(nbr)]
+    root: list[Cotree | None] = [None]
+    stack = [(full, 0, root, 0)]  # (vertex mask, depth, parent's child slots, slot)
+    internals = []  # (kind, child slots, parent's child slots, slot), in pre-order
+    while stack:
+        verts, depth, slots, i = stack.pop()
+        if verts & (verts - 1) == 0:
+            slots[i] = Leaf()
+            continue
+        kind, parts = UNION, split_components(nbr, verts)
         if len(parts) == 1:
-            kind, parts = JOIN, components(complement(sub))
+            kind, parts = JOIN, split_components(co, verts)
             if len(parts) == 1:
-                raise _NoCotree
+                witness = find_p4(g)
+                assert witness is not None, "connected, co-connected graph must contain a P4"
+                raise NotCograph(witness)
         if depth == MAX_DEPTH:
             raise ValueError(f"cotree nests deeper than MAX_DEPTH = {MAX_DEPTH} levels")
-        return Internal(kind, tuple(build(induced_subgraph(sub, c), depth + 1) for c in parts))
-
-    try:
-        return build(g, 0)
-    except _NoCotree:
-        witness = find_p4(g)
-        assert witness is not None, "connected, co-connected graph must contain a P4"
-        raise NotCograph(witness) from None
+        kids: list[Cotree | None] = [None] * len(parts)
+        internals.append((kind, kids, slots, i))
+        stack.extend((parts[j], depth + 1, kids, j) for j in reversed(range(len(parts))))
+    for kind, kids, slots, i in reversed(internals):
+        slots[i] = Internal(kind, tuple(kids))
+    return root[0]
 
 
 def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
@@ -351,12 +393,11 @@ class BagRepresentation:
 def bags(t: Cotree) -> BagRepresentation:
     """Group the leaves of a normalized cotree into bags with per-bag degrees.
 
-    Bags are ordered by their first vertex in to_graph leaf order. The degree
-    of a bag's vertices is accumulated over join ancestors: each join ancestor
-    A contributes leafcount(A) minus the leafcount of A's child on the path.
-    Leaf counts are computed once per distinct node (repeated subtrees such as
-    those of "k*expr" share one object). The one-leaf cotree yields a single
-    J-bag with t=1 and p=0 by convention.
+    Bags are ordered by their first vertex in to_graph leaf order. The bags
+    under a node are contiguous in that order, so the bag adjacency is the
+    same block fill as to_graph's over bag ranges, and a bag's degree is
+    t - 1 (J-bags only) plus the sizes of its adjacent bags. The one-leaf
+    cotree yields a single J-bag with t=1 and p=0 by convention.
     """
     t = normalize(t)
     if isinstance(t, Leaf):
@@ -364,51 +405,28 @@ def bags(t: Cotree) -> BagRepresentation:
             bags=(Bag(0, JOIN, 1, 0, (0,)),), z=np.zeros((1, 1), dtype=bool)
         )
 
-    # per bag: (first vertex, parent kind, degree, members,
-    #           child-index path root->parent, kinds of nodes root->parent)
-    records: list[tuple[int, str, int, tuple[int, ...], tuple[int, ...], tuple[str, ...]]] = []
-    counter = [0]
-    sizes: dict[int, int] = {}  # id(node) -> leaf count
-
-    def size(node: Cotree) -> int:
-        key = id(node)
-        if key not in sizes:
-            sizes[key] = 1 if isinstance(node, Leaf) else sum(size(c) for c in node.children)
-        return sizes[key]
-
-    def walk(node: Internal, acc: int, pos: tuple[int, ...], kinds: tuple[str, ...]):
-        here_kinds = kinds + (node.kind,)
-        total = size(node)
-        members: list[int] = []
-        for i, c in enumerate(node.children):
+    sizes = _leaf_counts(t)
+    records: list[tuple[tuple[int, ...], str]] = []  # per bag: (members, parent kind)
+    ranges: list[tuple[int, int, str]] = []  # per internal node: leaf range and kind
+    for node, lo in _internal_nodes(t, sizes):
+        ranges.append((lo, lo + sizes[id(node)], node.kind))
+        members = []
+        for c in node.children:
             if isinstance(c, Leaf):
-                members.append(counter[0])
-                counter[0] += 1
-            else:
-                extra = total - size(c) if node.kind == JOIN else 0
-                walk(c, acc + extra, pos + (i,), here_kinds)
+                members.append(lo)
+            lo += sizes.get(id(c), 1)
         if members:
-            p = acc + total - 1 if node.kind == JOIN else acc
-            records.append((members[0], node.kind, p, tuple(members), pos, here_kinds))
+            records.append((tuple(members), node.kind))
+    records.sort(key=lambda rec: rec[0][0])
 
-    walk(t, 0, (), ())
-    records.sort(key=lambda rec: rec[0])
-
+    firsts = [members[0] for members, _ in records]
+    blocks = [(bisect_left(firsts, lo), bisect_left(firsts, hi), kind) for lo, hi, kind in ranges]
+    z = _block_fill(len(records), blocks)
+    counts = np.array([len(members) for members, _ in records])
+    own = [len(members) - 1 if kind == JOIN else 0 for members, kind in records]
+    degrees = (z @ counts + own).tolist()
     blist = tuple(
         Bag(i, kind, len(members), p, members)
-        for i, (_, kind, p, members, _, _) in enumerate(records)
+        for i, ((members, kind), p) in enumerate(zip(records, degrees))
     )
-    r = len(blist)
-    z = np.zeros((r, r), dtype=bool)
-    for i in range(r):
-        _, _, _, _, pos_i, kinds_i = records[i]
-        for j in range(i + 1, r):
-            _, _, _, _, pos_j, _ = records[j]
-            # LCA of two leaves in distinct bags is the node where the
-            # parents' root paths diverge (or the shallower parent itself)
-            depth = 0
-            limit = min(len(pos_i), len(pos_j))
-            while depth < limit and pos_i[depth] == pos_j[depth]:
-                depth += 1
-            z[i, j] = z[j, i] = kinds_i[depth] == JOIN
     return BagRepresentation(bags=blist, z=z)

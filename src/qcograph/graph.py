@@ -11,6 +11,8 @@ __all__ = [
     "complement",
     "induced_subgraph",
     "components",
+    "neighbourhood_masks",
+    "split_components",
     "bipartition",
     "MAX_EDGE_LIST_N",
     "parse_edge_list",
@@ -145,26 +147,51 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return Graph(g.adj[np.ix_(sel, sel)])
 
 
+def neighbourhood_masks(adj: np.ndarray) -> list[int]:
+    """Row v of a boolean adjacency matrix as the int whose bit u is adj[v, u]."""
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    width = rows.shape[1]
+    data = rows.tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
+def _mask_members(mask: int) -> list[int]:
+    """Set bits of a vertex mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def split_components(nbr: list[int], verts: int) -> list[int]:
+    """Components of the subgraph induced by the vertex mask verts, as masks.
+
+    nbr[v] is the neighbourhood mask of v; bits outside verts are ignored.
+    Blocks are ordered by smallest member.
+    """
+    blocks = []
+    while verts:
+        block = frontier = verts & -verts
+        verts ^= block
+        while frontier:
+            reach = 0
+            for v in _mask_members(frontier):
+                reach |= nbr[v]
+            frontier = reach & verts
+            verts ^= frontier
+            block |= frontier
+        blocks.append(block)
+    return blocks
+
+
 def components(g: Graph) -> VertexPartition:
     """Connected components as blocks of sorted vertex indices, ordered by smallest member."""
     if g.n < 1:
         raise ValueError("components requires at least one vertex")
-    seen = np.zeros(g.n, dtype=bool)
-    blocks: VertexPartition = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        queue = [start]
-        seen[start] = True
-        block = []
-        while queue:
-            v = queue.pop()
-            block.append(v)
-            for w in np.nonzero(g.adj[v] & ~seen)[0]:
-                seen[w] = True
-                queue.append(int(w))
-        blocks.append(sorted(block))
-    return blocks
+    blocks = split_components(neighbourhood_masks(g.adj), (1 << g.n) - 1)
+    return [_mask_members(b) for b in blocks]
 
 
 def bipartition(g: Graph) -> VertexPartition | None:
