@@ -97,19 +97,36 @@ def leaf_count(t: Cotree) -> int:
     return sum(leaf_count(c) for c in t.children)
 
 
-def _internal_nodes(t: Cotree, sizes: dict[int, int]):
-    """Yield (node, first leaf position) for the internal nodes of t, parents first.
+def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
+    """Walk a normalized cotree with an explicit stack, parents before children.
 
-    Leaf positions are those of to_graph: leaves numbered in DFS order.
+    Leaves are numbered in DFS order. Returns the (lo, hi, kind) leaf range
+    of every internal node, parents first, and per bag (the leaf children of
+    one node) its (members, parent kind, degree). The degree is t - 1 under a
+    J-parent plus, for each join ancestor A, the leaves of A outside A's
+    child on the path.
     """
-    stack = [(t, 0)] if isinstance(t, Internal) else []
+    sizes = _leaf_counts(t)
+    ranges: list[tuple[int, int, str]] = []
+    records: list[tuple[tuple[int, ...], str, int]] = []
+    # (node, first leaf, degree its bag gets from join ancestors)
+    stack = [(t, 0, 0)] if isinstance(t, Internal) else []
     while stack:
-        node, lo = stack.pop()
-        yield node, lo
+        node, lo, acc = stack.pop()
+        total = sizes[id(node)]
+        join = node.kind == JOIN
+        ranges.append((lo, lo + total, node.kind))
+        members = []
         for c in node.children:
-            if isinstance(c, Internal):
-                stack.append((c, lo))
-            lo += sizes.get(id(c), 1)
+            size = sizes.get(id(c), 1)
+            if isinstance(c, Leaf):
+                members.append(lo)
+            else:
+                stack.append((c, lo, acc + total - size if join else acc))
+            lo += size
+        if members:
+            records.append((tuple(members), node.kind, acc + total - 1 if join else acc))
+    return ranges, records
 
 
 def _block_fill(size: int, blocks) -> np.ndarray:
@@ -289,10 +306,8 @@ def canonical_string(t: Cotree) -> str:
 
 def to_graph(t: Cotree) -> Graph:
     """Build the graph of a cotree: leaves in DFS order, adjacency iff the LCA is a join."""
-    t = normalize(t)
-    sizes = _leaf_counts(t)
-    blocks = [(lo, lo + sizes[id(node)], node.kind) for node, lo in _internal_nodes(t, sizes)]
-    return Graph(_block_fill(sizes.get(id(t), 1), blocks))
+    ranges, _ = _walk(normalize(t))
+    return Graph(_block_fill(ranges[0][1] if ranges else 1, ranges))
 
 
 def from_graph(g: Graph) -> Cotree:
@@ -395,9 +410,10 @@ def bags(t: Cotree) -> BagRepresentation:
 
     Bags are ordered by their first vertex in to_graph leaf order. The bags
     under a node are contiguous in that order, so the bag adjacency is the
-    same block fill as to_graph's over bag ranges, and a bag's degree is
-    t - 1 (J-bags only) plus the sizes of its adjacent bags. The one-leaf
-    cotree yields a single J-bag with t=1 and p=0 by convention.
+    same block fill as to_graph's over bag ranges. Leaf counts are computed
+    once per distinct node (repeated subtrees such as those of "k*expr"
+    share one object). The one-leaf cotree yields a single J-bag with t=1
+    and p=0 by convention.
     """
     t = normalize(t)
     if isinstance(t, Leaf):
@@ -405,28 +421,12 @@ def bags(t: Cotree) -> BagRepresentation:
             bags=(Bag(0, JOIN, 1, 0, (0,)),), z=np.zeros((1, 1), dtype=bool)
         )
 
-    sizes = _leaf_counts(t)
-    records: list[tuple[tuple[int, ...], str]] = []  # per bag: (members, parent kind)
-    ranges: list[tuple[int, int, str]] = []  # per internal node: leaf range and kind
-    for node, lo in _internal_nodes(t, sizes):
-        ranges.append((lo, lo + sizes[id(node)], node.kind))
-        members = []
-        for c in node.children:
-            if isinstance(c, Leaf):
-                members.append(lo)
-            lo += sizes.get(id(c), 1)
-        if members:
-            records.append((tuple(members), node.kind))
+    ranges, records = _walk(t)
     records.sort(key=lambda rec: rec[0][0])
-
-    firsts = [members[0] for members, _ in records]
+    firsts = [members[0] for members, _, _ in records]
     blocks = [(bisect_left(firsts, lo), bisect_left(firsts, hi), kind) for lo, hi, kind in ranges]
     z = _block_fill(len(records), blocks)
-    counts = np.array([len(members) for members, _ in records])
-    own = [len(members) - 1 if kind == JOIN else 0 for members, kind in records]
-    degrees = (z @ counts + own).tolist()
     blist = tuple(
-        Bag(i, kind, len(members), p, members)
-        for i, ((members, kind), p) in enumerate(zip(records, degrees))
+        Bag(i, kind, len(members), p, members) for i, (members, kind, p) in enumerate(records)
     )
     return BagRepresentation(bags=blist, z=z)
