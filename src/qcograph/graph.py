@@ -152,7 +152,7 @@ def neighbourhood_masks(adj: np.ndarray) -> list[int]:
     rows = np.packbits(adj, axis=1, bitorder="little")
     width = rows.shape[1]
     data = rows.tobytes()
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(rows))]
 
 
 def _mask_members(mask: int) -> list[int]:
