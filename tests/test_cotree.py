@@ -27,6 +27,7 @@ from qcograph.cotree import (
 )
 from qcograph.enumeration import enumerate_cographs, enumerate_cotrees
 from qcograph.graph import Graph, complement, induced_subgraph
+from qcograph.recognition import cotree_flags
 
 
 def alternating(depth: int) -> str:
@@ -209,7 +210,7 @@ class TestFromGraph:
 
 def reference_to_graph(t: Cotree) -> Graph:
     """Recursive to_graph: one Graph per node, children's blocks on the diagonal."""
-    t = normalize(t)
+    t = reference_normalize(t)
 
     def build(node: Cotree) -> Graph:
         if isinstance(node, Leaf):
@@ -419,3 +420,162 @@ def test_canonical_string_is_isomorphism_invariant(n, data):
         return Internal(node.kind, tuple(kids))
 
     assert canonical_string(shuffled(t)) == canonical_string(t)
+
+
+# Recursive references for the tree walks: one call per node.
+
+
+def reference_normalize(t: Cotree) -> Cotree:
+    if isinstance(t, Leaf):
+        return t
+    kids: list[Cotree] = []
+    for c in t.children:
+        c = reference_normalize(c)
+        if isinstance(c, Internal) and c.kind == t.kind:
+            kids.extend(c.children)
+        else:
+            kids.append(c)
+    if len(kids) == 1:
+        return kids[0]
+    return Internal(t.kind, tuple(kids))
+
+
+def reference_leaf_count(t: Cotree) -> int:
+    if isinstance(t, Leaf):
+        return 1
+    return sum(reference_leaf_count(c) for c in t.children)
+
+
+def reference_canon(t: Cotree) -> tuple[Cotree, str, int]:
+    """(reordered tree, canonical string, leaf count) of a normalized tree."""
+    if isinstance(t, Leaf):
+        return t, "1", 1
+    leaves = sum(1 for c in t.children if isinstance(c, Leaf))
+    internals = sorted(
+        (reference_canon(c) for c in t.children if isinstance(c, Internal)),
+        key=lambda item: (item[2], item[1]),
+    )
+    parts: list[str] = []
+    if leaves:
+        parts.append(str(leaves))
+    parts.extend(s for _, s, _ in internals)
+    tree = Internal(t.kind, tuple([Leaf()] * leaves + [sub for sub, _, _ in internals]))
+    return tree, f"{t.kind}({','.join(parts)})", leaves + sum(k for _, _, k in internals)
+
+
+def reference_canonical_string(t: Cotree) -> str:
+    t = reference_normalize(t)
+    return "J(1)" if isinstance(t, Leaf) else reference_canon(t)[1]
+
+
+def reference_complement_cotree(t: Cotree) -> Cotree:
+    def swap(node: Cotree) -> Cotree:
+        if isinstance(node, Leaf):
+            return node
+        kind = UNION if node.kind == JOIN else JOIN
+        return Internal(kind, tuple(swap(c) for c in node.children))
+
+    return reference_normalize(swap(reference_normalize(t)))
+
+
+def reference_cotree_flags(t: Cotree) -> dict[str, bool]:
+    t = reference_normalize(t)
+    crowded = {JOIN: False, UNION: False}
+
+    def walk(node: Cotree) -> tuple[int, int | None]:
+        if isinstance(node, Leaf):
+            return 1, 0
+        if sum(isinstance(c, Internal) for c in node.children) > 1:
+            crowded[node.kind] = True
+        kids = [walk(c) for c in node.children]
+        size = sum(k for k, _ in kids)
+        join = node.kind == JOIN
+        degs = {d + size - k if join and d is not None else d for k, d in kids}
+        return size, degs.pop() if len(degs) == 1 else None
+
+    def flat(node: Cotree, kind: str) -> bool:
+        return isinstance(node, Leaf) or (node.kind == kind and all(isinstance(c, Leaf) for c in node.children))
+
+    def bipartite_component(node: Cotree) -> bool:
+        return isinstance(node, Leaf) or (
+            node.kind == JOIN and len(node.children) == 2 and all(flat(c, UNION) for c in node.children)
+        )
+
+    regular = walk(t)[1] is not None
+    qt = not crowded[JOIN]
+    is_join = isinstance(t, Internal) and t.kind == JOIN
+    components = t.children if isinstance(t, Internal) and t.kind == UNION else (t,)
+    return {
+        "is_chordal": qt,
+        "is_quasi_threshold": qt,
+        "is_threshold": qt and not crowded[UNION],
+        "is_bipartite": all(map(bipartite_component, components)),
+        "is_regular": regular,
+        "is_complete": flat(t, JOIN),
+        "is_connected": isinstance(t, Leaf) or is_join,
+    }
+
+
+def random_cotree(rng: random.Random, leaves: int, pool: dict[int, list[Cotree]]) -> Cotree:
+    """A random cotree on `leaves` leaves, usually not normalized.
+
+    It has single-child nodes, same-kind parent/child chains, sibling copies
+    of one subtree object (as "k*expr" makes) and subtrees reused from `pool`
+    at other depths (as the enumeration's shared pools make).
+    """
+    if pool.get(leaves) and rng.random() < 0.1:
+        return rng.choice(pool[leaves])
+    if leaves == 1 and rng.random() < 0.7:
+        return Leaf()
+    kind = rng.choice((UNION, JOIN))
+    if leaves == 1 or rng.random() < 0.15:
+        node = Internal(kind, (random_cotree(rng, leaves, pool),))
+    else:
+        parts: list[Cotree] = []
+        remaining = leaves
+        while remaining:
+            m = rng.randint(1, remaining)
+            copies = rng.randint(2, remaining // m) if remaining >= 2 * m and rng.random() < 0.25 else 1
+            parts += [random_cotree(rng, m, pool)] * copies
+            remaining -= m * copies
+        node = Internal(kind, tuple(parts))
+    pool.setdefault(leaves, []).append(node)
+    return node
+
+
+def assert_walks_match(t: Cotree) -> None:
+    label = repr(t)
+    norm = reference_normalize(t)
+    assert normalize(t) == norm, label
+    assert leaf_count(t) == reference_leaf_count(t), label
+    want = Leaf() if isinstance(norm, Leaf) else reference_canon(norm)[0]
+    assert canonicalize(t) == want, label
+    assert canonical_string(t) == reference_canonical_string(t), label
+    assert complement_cotree(t) == reference_complement_cotree(t), label
+    assert cotree_flags(t) == reference_cotree_flags(t), label
+
+
+class TestWalksPinned:
+    """normalize, canonicalize, canonical_string, complement_cotree,
+    leaf_count and cotree_flags agree with the recursive references."""
+
+    def test_every_cograph_up_to_10(self):
+        count = 0
+        for n in range(1, 11):
+            for t in enumerate_cotrees(n):
+                assert_walks_match(t)
+                count += 1
+        assert count == 6965
+
+    def test_random_unnormalized_trees(self):
+        rng = random.Random(11)
+        unnormalized = 0
+        for _ in range(3000):
+            pool: dict[int, list[Cotree]] = {}
+            t = random_cotree(rng, rng.randint(1, 12), pool)
+            assert_walks_match(t)
+            assert to_graph(t) == reference_to_graph(t)
+            rep, want = bags(t), bags(reference_normalize(t))
+            assert rep.bags == want.bags and np.array_equal(rep.z, want.z)
+            unnormalized += reference_normalize(t) != t
+        assert unnormalized > 2000
