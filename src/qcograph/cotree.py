@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,44 +72,63 @@ class NotCograph(Exception):
         self.witness = witness
 
 
-def _leaf_counts(t: Cotree) -> dict[int, int]:
-    """Leaf count of every internal node under t, keyed by id(node).
+def _post_order(t: Cotree) -> list[Internal]:
+    """The distinct internal nodes of t, each after all of its children: the
+    order of every bottom-up walk, which keys its results by id(node). A
+    subtree object that recurs (those of "k*expr" do) is kept once, at its
+    last place in breadth-first order, which follows all of its parents."""
+    order = [t]
+    for node in order:
+        if isinstance(node, Internal):
+            order += node.children
+    return list({id(node): node for node in reversed(order) if isinstance(node, Internal)}.values())
 
-    A leaf, absent from the dict, counts 1: read counts with sizes.get(id(node), 1).
-    Each distinct node is counted once, so repeated subtrees (those of
-    "k*expr" share one object) cost nothing extra.
-    """
+
+def _normal_step(kind: str, kids: list[Cotree]) -> Cotree:
+    """The normal form of a node of this kind over children in normal form:
+    same-kind children merged in, and a lone child in place of the node."""
+    flat: list[Cotree] = []
+    for c in kids:
+        if isinstance(c, Internal) and c.kind == kind:
+            flat += c.children
+        else:
+            flat.append(c)
+    if len(flat) == 1:
+        return flat[0]
+    return Internal(kind, tuple(flat))
+
+
+def _leaf_counts(t: Cotree) -> dict[int, int]:
+    """Leaf count of every internal node under t, keyed by id(node); a leaf is absent."""
     sizes: dict[int, int] = {}
-    stack = [t] if isinstance(t, Internal) else []
-    while stack:
-        node = stack[-1]
-        pending = [c for c in node.children if isinstance(c, Internal) and id(c) not in sizes]
-        if pending:
-            stack.extend(pending)
-            continue
-        sizes[id(node)] = sum(sizes.get(id(c), 1) for c in node.children)
-        stack.pop()
+    for node in _post_order(t):
+        size = 0
+        for c in node.children:
+            size += sizes.get(id(c), 1)
+        sizes[id(node)] = size
     return sizes
 
 
 def leaf_count(t: Cotree) -> int:
-    if isinstance(t, Leaf):
-        return 1
-    return sum(leaf_count(c) for c in t.children)
+    return _leaf_counts(t).get(id(t), 1)
 
 
 def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
-    """Walk a normalized cotree with an explicit stack, parents before children.
+    """Walk the normal form of a cotree with an explicit stack, parents before children.
 
-    Leaves are numbered in DFS order. Returns the (lo, hi, kind) leaf range
-    of every internal node, parents first, and per bag (the leaf children of
-    one node) its (members, parent kind, degree). The degree is t - 1 under a
-    J-parent plus, for each join ancestor A, the leaves of A outside A's
-    child on the path.
+    A single-child node stands for its child, and a child of its parent's
+    kind has its children read in its place. Leaves are numbered in DFS
+    order. Returns the (lo, hi, kind) leaf range of every internal node,
+    parents first, and per bag (the leaf children of one node, or a lone
+    leaf as a J-bag) its (members, parent kind, degree). The degree is t - 1
+    under a J-parent plus, for each join ancestor A, the leaves of A outside
+    A's child on the path.
     """
     sizes = _leaf_counts(t)
+    while isinstance(t, Internal) and len(t.children) == 1:
+        t = t.children[0]
     ranges: list[tuple[int, int, str]] = []
-    records: list[tuple[tuple[int, ...], str, int]] = []
+    records: list[tuple[tuple[int, ...], str, int]] = [] if isinstance(t, Internal) else [((0,), JOIN, 0)]
     # (node, first leaf, degree its bag gets from join ancestors)
     stack = [(t, 0, 0)] if isinstance(t, Internal) else []
     while stack:
@@ -117,13 +137,18 @@ def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, 
         join = node.kind == JOIN
         ranges.append((lo, lo + total, node.kind))
         members = []
-        for c in node.children:
-            size = sizes.get(id(c), 1)
+        todo = list(reversed(node.children))
+        while todo:
+            c = todo.pop()
             if isinstance(c, Leaf):
                 members.append(lo)
+                lo += 1
+            elif c.kind == node.kind or len(c.children) == 1:
+                todo.extend(reversed(c.children))
             else:
+                size = sizes[id(c)]
                 stack.append((c, lo, acc + total - size if join else acc))
-            lo += size
+                lo += size
         if members:
             records.append((tuple(members), node.kind, acc + total - 1 if join else acc))
     return ranges, records
@@ -151,14 +176,11 @@ def _block_fill(size: int, blocks) -> np.ndarray:
 #
 # Bare INT n inside a node stands for n leaf children; k*expr for k sibling
 # copies; K(n)/E(n) are the complete/edgeless graphs on n vertices. All
-# integers must be >= 1. The result is returned in normalized form.
+# integers must be >= 1. Each node is built in normal form from its children's.
 #
-# U/J nodes nest at most MAX_DEPTH deep. The parser and the tree walks
-# normalize (which to_graph and bags call first), _canon, leaf_count and
-# recognition.cotree_flags recurse once or more per level, and the cap keeps
-# them well inside Python's recursion limit. from_graph, and the to_graph and
-# bags walks, use an explicit stack; from_graph still applies the cap to graph
-# input, because the cotree it returns goes on to the recursive walks.
+# U/J nodes nest at most MAX_DEPTH deep: the parser recurses once per level,
+# and the cap keeps it inside Python's recursion limit. Only the DSL has it;
+# the tree walks use no recursion, and from_graph nests as deep as it needs.
 # ---------------------------------------------------------------------------
 
 MAX_DEPTH = 256
@@ -208,10 +230,7 @@ class _Parser:
             self.expect("(")
             n = self.parse_int()
             self.expect(")")
-            if n == 1:
-                return Leaf()
-            kind = JOIN if c == "K" else UNION
-            return Internal(kind, tuple(Leaf() for _ in range(n)))
+            return _normal_step(JOIN if c == "K" else UNION, [Leaf()] * n)
         raise self.error("expected 'U', 'J', 'K' or 'E'")
 
     def parse_node(self, kind: str) -> Cotree:
@@ -231,7 +250,7 @@ class _Parser:
             break
         self.expect(")")
         self.depth -= 1
-        return Internal(kind, tuple(children))
+        return _normal_step(kind, children)
 
     def parse_item(self) -> list[Cotree]:
         c = self.peek()
@@ -252,45 +271,52 @@ def parse(text: str) -> Cotree:
     p.skip_ws()
     if p.pos != len(p.text):
         raise p.error("unexpected trailing input")
-    return normalize(tree)
+    return tree
+
+
+def _relabelled(t: Cotree, kinds: dict[str, str]) -> Cotree:
+    """The normal form of t with each node's kind mapped through kinds, in one walk."""
+    done: dict[int, Cotree] = {}
+    for node in _post_order(t):
+        done[id(node)] = _normal_step(kinds[node.kind], [done.get(id(c), c) for c in node.children])
+    return done.get(id(t), t)
 
 
 def normalize(t: Cotree) -> Cotree:
     """Collapse same-kind parent/child chains and elide single-child internals."""
-    if isinstance(t, Leaf):
-        return t
-    kids: list[Cotree] = []
-    for c in t.children:
-        c = normalize(c)
-        if isinstance(c, Internal) and c.kind == t.kind:
-            kids.extend(c.children)
-        else:
-            kids.append(c)
-    if len(kids) == 1:
-        return kids[0]
-    return Internal(t.kind, tuple(kids))
+    return _relabelled(t, {UNION: UNION, JOIN: JOIN})
 
 
-def _canon(t: Cotree) -> tuple[Cotree, str, int]:
-    """Return (reordered tree, canonical string, leaf count) for a normalized tree."""
-    if isinstance(t, Leaf):
-        return t, "1", 1
-    leaves = sum(1 for c in t.children if isinstance(c, Leaf))
-    internals = sorted(
-        (_canon(c) for c in t.children if isinstance(c, Internal)),
-        key=lambda item: (item[2], item[1]),
-    )
-    parts: list[str] = []
-    if leaves:
-        parts.append(str(leaves))
-    parts.extend(s for _, s, _ in internals)
-    tree = Internal(t.kind, tuple([Leaf()] * leaves + [sub for sub, _, _ in internals]))
-    return tree, f"{t.kind}({','.join(parts)})", leaves + sum(k for _, _, k in internals)
+_LEAF = (1, "J(1)", Leaf(), "", [])
+
+
+def _canon(t: Cotree) -> tuple:
+    """(leaf count, canonical string, canonical tree, kind, the children's such
+    records) of the normal form of t, built in the same walk. Children are
+    ordered by (leaf count, string), so leaves come first."""
+    done: dict[int, tuple] = {}
+    for node in _post_order(t):
+        subs = []
+        for c in node.children:
+            rec = done.get(id(c), _LEAF)
+            if rec[3] == node.kind:
+                subs += rec[4]
+            else:
+                subs.append(rec)
+        if len(subs) == 1:
+            done[id(node)] = subs[0]
+            continue
+        subs.sort(key=itemgetter(0, 1))
+        leaves = subs.count(_LEAF)
+        parts = [str(leaves)] * (leaves > 0) + [rec[1] for rec in subs[leaves:]]
+        tree = Internal(node.kind, tuple(rec[2] for rec in subs))
+        done[id(node)] = sum(rec[0] for rec in subs), f"{node.kind}({','.join(parts)})", tree, node.kind, subs
+    return done.get(id(t), _LEAF)
 
 
 def canonicalize(t: Cotree) -> Cotree:
     """Reorder children into canonical order: leaves first, then by (size, string)."""
-    return _canon(normalize(t))[0]
+    return _canon(t)[2]
 
 
 def canonical_string(t: Cotree) -> str:
@@ -298,15 +324,12 @@ def canonical_string(t: Cotree) -> str:
 
     The one-vertex cotree prints as "J(1)", which parses back to a single leaf.
     """
-    t = normalize(t)
-    if isinstance(t, Leaf):
-        return "J(1)"
     return _canon(t)[1]
 
 
 def to_graph(t: Cotree) -> Graph:
     """Build the graph of a cotree: leaves in DFS order, adjacency iff the LCA is a join."""
-    ranges, _ = _walk(normalize(t))
+    ranges, _ = _walk(t)
     return Graph(_block_fill(ranges[0][1] if ranges else 1, ranges))
 
 
@@ -317,9 +340,8 @@ def from_graph(g: Graph) -> Cotree:
     disconnected -> join over co-components. Vertex sets are int bitmasks
     split with the neighbourhood masks of g and of its complement, in DFS
     order, so children keep the order of their smallest vertices. Raises
-    NotCograph with the first induced-P4 witness (find_p4) otherwise, and
-    ValueError when the cotree would nest deeper than MAX_DEPTH internal
-    nodes (the parser's cap), whichever the DFS meets first.
+    NotCograph with the first induced-P4 witness (find_p4) otherwise. The
+    cotree may nest to any depth: MAX_DEPTH limits only the DSL.
     """
     if g.n < 1:
         raise ValueError("from_graph requires at least one vertex")
@@ -327,10 +349,10 @@ def from_graph(g: Graph) -> Cotree:
     full = (1 << g.n) - 1
     co = [full & ~m & ~(1 << v) for v, m in enumerate(nbr)]
     root: list[Cotree | None] = [None]
-    stack = [(full, 0, root, 0)]  # (vertex mask, depth, parent's child slots, slot)
+    stack = [(full, root, 0)]  # (vertex mask, parent's child slots, slot)
     internals = []  # (kind, child slots, parent's child slots, slot), in pre-order
     while stack:
-        verts, depth, slots, i = stack.pop()
+        verts, slots, i = stack.pop()
         if verts & (verts - 1) == 0:
             slots[i] = Leaf()
             continue
@@ -341,11 +363,9 @@ def from_graph(g: Graph) -> Cotree:
                 witness = find_p4(g)
                 assert witness is not None, "connected, co-connected graph must contain a P4"
                 raise NotCograph(witness)
-        if depth == MAX_DEPTH:
-            raise ValueError(f"cotree nests deeper than MAX_DEPTH = {MAX_DEPTH} levels")
         kids: list[Cotree | None] = [None] * len(parts)
         internals.append((kind, kids, slots, i))
-        stack.extend((parts[j], depth + 1, kids, j) for j in reversed(range(len(parts))))
+        stack.extend((parts[j], kids, j) for j in reversed(range(len(parts))))
     for kind, kids, slots, i in reversed(internals):
         slots[i] = Internal(kind, tuple(kids))
     return root[0]
@@ -359,15 +379,11 @@ def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
 
 
 def complement_cotree(t: Cotree) -> Cotree:
-    """Cotree of the complement graph: swap all U/J labels, then renormalize."""
+    """Cotree of the complement graph: every U/J label swapped, in normal form.
 
-    def swap(node: Cotree) -> Cotree:
-        if isinstance(node, Leaf):
-            return node
-        kind = UNION if node.kind == JOIN else JOIN
-        return Internal(kind, tuple(swap(c) for c in node.children))
-
-    return normalize(swap(normalize(t)))
+    Swapping the labels of a normal form keeps it normal, so one walk does both.
+    """
+    return _relabelled(t, {UNION: JOIN, JOIN: UNION})
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +422,13 @@ class BagRepresentation:
 
 
 def bags(t: Cotree) -> BagRepresentation:
-    """Group the leaves of a normalized cotree into bags with per-bag degrees.
+    """Group the leaves of a cotree, read in normal form, into bags with per-bag degrees.
 
     Bags are ordered by their first vertex in to_graph leaf order. The bags
     under a node are contiguous in that order, so the bag adjacency is the
-    same block fill as to_graph's over bag ranges. Leaf counts are computed
-    once per distinct node (repeated subtrees such as those of "k*expr"
-    share one object). The one-leaf cotree yields a single J-bag with t=1
-    and p=0 by convention.
+    same block fill as to_graph's over bag ranges. The one-leaf cotree
+    yields a single J-bag with t=1 and p=0 by convention.
     """
-    t = normalize(t)
-    if isinstance(t, Leaf):
-        return BagRepresentation(
-            bags=(Bag(0, JOIN, 1, 0, (0,)),), z=np.zeros((1, 1), dtype=bool)
-        )
-
     ranges, records = _walk(t)
     records.sort(key=lambda rec: rec[0][0])
     firsts = [members[0] for members, _, _ in records]

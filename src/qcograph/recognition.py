@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, from_graph, leaf_count, normalize, to_graph
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _post_order, from_graph, normalize, to_graph
 from .graph import Graph, bipartition, components, induced_subgraph
 from .spectra import algebraic_connectivity
 
@@ -213,72 +213,68 @@ class ClassificationReport:
         return hash(self._key())
 
 
+_LEAF_RECORD = (1, 0, "", 0, 0, 0)
+
+
 def cotree_flags(t: Cotree) -> dict[str, bool]:
     """The flags of ``classify`` for the cograph of a cotree, read off the tree.
 
-    After normalization (Corneil, Lerchs and Stewart Burlingham 1981; Yan,
-    Chen and Chang 1996):
+    In normal form (Corneil, Lerchs and Stewart Burlingham 1981; Yan, Chen
+    and Chang 1996) the graph is quasi-threshold, which for a cograph is
+    chordal, iff every J-node has at most one non-leaf child; threshold iff
+    every U-node has too; bipartite iff every J-node has two children, each
+    a leaf or an all-leaf U-node; connected iff the root is a J-node or a
+    leaf. It is regular iff all leaves have one degree, complete iff that is
+    n - 1.
 
-    - quasi-threshold, which for a cograph is chordal, iff every J-node has
-      at most one non-leaf child;
-    - threshold iff quasi-threshold and every U-node has at most one
-      non-leaf child;
-    - connected iff the root is a J-node or a leaf;
-    - complete iff the root is a leaf or a J-node whose children are leaves;
-    - regular iff every bag has the same degree p;
-    - bipartite iff every component (the root, or each child of a U root)
-      is a leaf or a J-node with two children, each a leaf or an all-leaf
-      U-node.
+    One walk reads the normal form as it goes. A node's record holds its
+    leaves, the degree they all have inside its subtree (None if they
+    differ), and of its normal form the kind ("" for a leaf) and its
+    children: all, internal, and internal with internal children. Same-kind
+    children are merged in, and a single-child node takes its child's record.
     """
-    t = normalize(t)
     crowded = {JOIN: False, UNION: False}  # kind -> some node has two non-leaf children
-
-    def walk(node: Cotree) -> tuple[int, int | None]:
-        """(leaves of node, the degree they all have inside node's subtree, or None)."""
-        if isinstance(node, Leaf):
-            return 1, 0
-        if sum(isinstance(c, Internal) for c in node.children) > 1:
-            crowded[node.kind] = True
-        kids = [walk(c) for c in node.children]
-        size = sum(k for k, _ in kids)
-        join = node.kind == JOIN
-        degs = {d + size - k if join and d is not None else d for k, d in kids}
-        return size, degs.pop() if len(degs) == 1 else None
-
-    regular = walk(t)[1] is not None
+    odd_join = False  # some J-node breaks the bipartite rule
+    done: dict[int, tuple] = {}
+    for node in _post_order(t):
+        if len(node.children) == 1:
+            done[id(node)] = done.get(id(node.children[0]), _LEAF_RECORD)
+            continue
+        join, size, kids, inner, deep, shifts = node.kind == JOIN, 0, 0, 0, 0, set()
+        for c in node.children:
+            c_size, c_deg, c_kind, c_kids, c_inner, c_deep = done.get(id(c), _LEAF_RECORD)
+            size += c_size
+            # the degree inside c's subtree, less c's size under a J-node
+            shifts.add(c_deg - c_size if join and c_deg is not None else c_deg)
+            merged = c_kind == node.kind
+            kids += c_kids if merged else 1
+            inner += c_inner if merged else c_kind != ""
+            deep += c_deep if merged else c_inner > 0
+        crowded[node.kind] |= inner > 1
+        odd_join |= join and (kids != 2 or deep > 0)
+        shift = shifts.pop() if len(shifts) == 1 else None
+        deg = shift + size if join and shift is not None else shift
+        done[id(node)] = size, deg, node.kind, kids, inner, deep
+    n, deg, kind, _, _, _ = done.get(id(t), _LEAF_RECORD)
     qt = not crowded[JOIN]
-    is_join = isinstance(t, Internal) and t.kind == JOIN
-    components = t.children if isinstance(t, Internal) and t.kind == UNION else (t,)
     return {
         "is_chordal": qt,
         "is_quasi_threshold": qt,
         "is_threshold": qt and not crowded[UNION],
-        "is_bipartite": all(map(_bipartite_component, components)),
-        "is_regular": regular,
-        "is_complete": _flat(t, JOIN),
-        "is_connected": isinstance(t, Leaf) or is_join,
+        "is_bipartite": not odd_join,
+        "is_regular": deg is not None,
+        "is_complete": deg == n - 1,
+        "is_connected": kind != UNION,
     }
-
-
-def _flat(t: Cotree, kind: str) -> bool:
-    """A leaf, or a node of this kind whose children are all leaves: the
-    cotree of a clique (JOIN) or of an edgeless graph (UNION)."""
-    return isinstance(t, Leaf) or (t.kind == kind and all(isinstance(c, Leaf) for c in t.children))
-
-
-def _bipartite_component(t: Cotree) -> bool:
-    return isinstance(t, Leaf) or (t.kind == JOIN and len(t.children) == 2 and all(_flat(c, UNION) for c in t.children))
 
 
 def classify(source: Graph | Cotree) -> ClassificationReport:
     """All structural flags of a graph, or of the cograph of a cotree, at once.
 
     A cotree, or the cotree ``from_graph`` recovers from a cograph, gives
-    every flag through ``cotree_flags`` (quasi-threshold = chordal iff every
-    J-node has at most one non-leaf child; threshold iff every U-node has
-    too; connected, complete, regular and bipartite from the root and the
-    bags). A graph that is not a cograph keeps the dense route: maximum-
-    cardinality search for chordality, two-colouring, degrees, components.
+    every flag through ``cotree_flags``. A graph that is not a cograph keeps
+    the dense route: maximum-cardinality search for chordality,
+    two-colouring, degrees, components.
 
     The witness is the first forbidden pattern ruled on: the induced P4 of a
     non-cograph, else the first C4 of a non-chordal graph, else the first
@@ -465,9 +461,7 @@ def parse_generalized_core_satellite(source: Graph | Cotree) -> SatelliteSpec | 
     satellite). Returns None otherwise: for non-cographs, disconnected and
     complete graphs (a one-satellite reading is rejected), and whenever some
     satellite is not complete. Every graph recognized is quasi-threshold.
-
-    A graph goes through ``from_graph``, so one whose cotree nests deeper
-    than MAX_DEPTH raises its ValueError.
+    A graph is read through ``from_graph``, whose cotree may nest to any depth.
     """
     if isinstance(source, Graph):
         try:
@@ -482,8 +476,8 @@ def parse_generalized_core_satellite(source: Graph | Cotree) -> SatelliteSpec | 
     if n0 == 0 or len(rest) != 1:
         return None
     kids = rest[0].children
-    if not all(_flat(c, JOIN) for c in kids):
+    if not all(isinstance(c, Leaf) or all(isinstance(x, Leaf) for x in c.children) for c in kids):
         return None
-    orders = Counter(map(leaf_count, kids))
+    orders = Counter(1 if isinstance(c, Leaf) else len(c.children) for c in kids)
     satellites = tuple(sorted(((count, order) for order, count in orders.items()), key=lambda x: x[1]))
     return SatelliteSpec(n0=n0, satellites=satellites)

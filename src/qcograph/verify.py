@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, bags, from_graph, normalize, parse, to_graph
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, bags, from_graph, parse, to_graph
 from .enumeration import ENUMERATION_CAP, enumerate_cographs
 from .families import FamilySpec, build, build_cotree, default_grid, default_grids, expected_mains
 from .graph import Graph, bipartition, complement, join, union
@@ -298,7 +298,7 @@ def _h_families(specs: list[FamilySpec]) -> Iterator[_Row]:
         yield f"mains,{desc}", desc, _fmt_vals(want or []), _fmt_vals(got), ok, dist
         if rep.main_count != 2:
             continue  # join law below presumes two mains (grids ensure it)
-        k_c_joins = [normalize(Internal(JOIN, (Leaf(),) * c + (t,))) for c in (1, 2, 3)]
+        k_c_joins = [Internal(JOIN, (Leaf(),) * c + (t,)) for c in (1, 2, 3)]
         for c, k_c_join in enumerate(k_c_joins, start=1):
             kj = q_spectrum_cotree(k_c_join).main_count
             yield f"join,c={c},{desc}", desc, "k = 3", f"k = {kj}", kj == 3, abs(kj - 3)

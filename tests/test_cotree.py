@@ -202,10 +202,15 @@ class TestFromGraph:
                 assert exc.witness == find_induced(g, "P4")
                 seen += 1
 
-    def test_depth_capped(self):
-        assert leaf_count(from_graph(threshold_chain(MAX_DEPTH + 1))) == MAX_DEPTH + 1
-        with pytest.raises(ValueError, match="MAX_DEPTH"):
-            from_graph(threshold_chain(MAX_DEPTH + 2))
+    def test_deep_threshold_chain(self):
+        # 599 nested nodes, deeper than the DSL's MAX_DEPTH: graph input has no depth cap
+        g = threshold_chain(600)
+        t = from_graph(g)
+        assert leaf_count(t) == 600
+        assert bags(t).r == 599  # one leaf per node, two under the innermost
+        assert to_graph(t) == g
+        assert canonical_string(t).count("(") == 599
+        assert canonical_string(complement_cotree(t)) == canonical_string(from_graph(complement(g)))
 
 
 def reference_to_graph(t: Cotree) -> Graph:

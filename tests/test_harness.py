@@ -406,13 +406,6 @@ class TestFamilySizeCap:
 
 
 class TestBadEdgeLists:
-    def test_too_deep_is_usage_error(self, tmp_path, capsys):
-        edges = tmp_path / "threshold600.edges"
-        edges.write_text(format_edge_list(threshold_chain(600)))
-        assert main(["classify", "--edges", str(edges)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "MAX_DEPTH" in err and err.count("\n") == 1
-
     def test_order_above_cap_is_usage_error(self, tmp_path, capsys):
         edges = tmp_path / "big.edges"
         edges.write_text(f"{MAX_EDGE_LIST_N + 1} 0\n")
@@ -427,6 +420,14 @@ class TestDeepCotrees:
             assert main([command, "--cotree", alternating(1500)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and "nested deeper" in err and "Traceback" not in err
+
+    def test_deep_threshold_graph_is_answered(self, tmp_path, capsys):
+        # its cotree nests 599 nodes; MAX_DEPTH limits only the DSL
+        edges = tmp_path / "threshold600.edges"
+        edges.write_text(format_edge_list(threshold_chain(600)))
+        assert main(["classify", "--edges", str(edges)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "is_threshold: True" in out and "witness: None" in out
 
     @pytest.mark.slow
     def test_deepest_accepted_runs_everywhere(self, tmp_path, capsys):
