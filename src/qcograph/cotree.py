@@ -74,14 +74,14 @@ class NotCograph(Exception):
 
 def _post_order(t: Cotree) -> list[Internal]:
     """The distinct internal nodes of t, each after all of its children: the
-    order of every bottom-up walk, which keys its results by id(node). A
-    subtree object that recurs (those of "k*expr" do) is kept once, at its
-    last place in breadth-first order, which follows all of its parents."""
-    order = [t]
-    for node in order:
-        if isinstance(node, Internal):
-            order += node.children
-    return list({id(node): node for node in reversed(order) if isinstance(node, Internal)}.values())
+    order of every bottom-up walk, which keys its results by id(node). Nodes
+    are listed once per level they occur on, so a subtree object that recurs
+    (as in "k*expr") costs nothing extra, and kept at the deepest of them."""
+    order, level = [], [t] if isinstance(t, Internal) else []
+    while level:
+        order += level
+        level = {id(c): c for node in level for c in node.children if isinstance(c, Internal)}.values()
+    return list({id(node): node for node in reversed(order)}.values())
 
 
 def _normal_step(kind: str, kids: list[Cotree]) -> Cotree:
