@@ -93,9 +93,7 @@ def _normal_step(kind: str, kids: list[Cotree]) -> Cotree:
             flat += c.children
         else:
             flat.append(c)
-    if len(flat) == 1:
-        return flat[0]
-    return Internal(kind, tuple(flat))
+    return flat[0] if len(flat) == 1 else Internal(kind, tuple(flat))
 
 
 def _leaf_counts(t: Cotree) -> dict[int, int]:
