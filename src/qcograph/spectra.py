@@ -70,17 +70,20 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
         raise ValueError("need a finite matrix, got a NaN or infinite entry")
     if not np.array_equal(a, a.T):
         raise ValueError("need an exactly symmetric matrix")
-    v = np.eye(n)
+    av = np.vstack([a, np.eye(n)])  # A over V: one matmul per rotation turns both
+    a, v = av[:n], av[n:]
     norm = float(np.linalg.norm(a))
     if norm == 0.0 or n == 1:
         return _sorted_decomposition(np.diag(a).copy(), v)
+    rot = np.empty((2, 2))
     tol = _CONVERGENCE * norm
     # if every rotation in a sweep falls below this, the off-diagonal norm
     # is already below tol, so skipping them cannot stall convergence
     skip = tol / (2.0 * n)
     for _ in range(_MAX_SWEEPS):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= tol:
+        off = a.flatten()
+        off[:: n + 1] = 0.0  # the diagonal
+        if float(np.linalg.norm(off)) <= tol:
             return _sorted_decomposition(np.diag(a).copy(), v)
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -93,16 +96,17 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
                 t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rot = np.array([[c, s], [-s, c]])
+                rot[0, 0] = rot[1, 1] = c
+                rot[0, 1] = s
+                rot[1, 0] = -s
                 pq = slice(p, q + 1, q - p)  # columns p and q as one view
                 # off the 2x2 block a rotated row equals the rotated column
-                cols = a[:, pq] @ rot
-                a[:, pq] = cols
-                a[pq, :] = cols.T
+                cols = av[:, pq] @ rot
+                av[:, pq] = cols
+                a[pq, :] = cols[:n].T
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
-                v[:, pq] = v[:, pq] @ rot
     raise SolverError(f"Jacobi sweep cap ({_MAX_SWEEPS}) exceeded for order {n}")
 
 

@@ -143,6 +143,23 @@ class TestJacobi:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [signless_laplacian(graph_of("J(3, U(J(2), J(4)))")), np.zeros((3, 3)), np.array([[2.5]])],
+        ids=["q", "zero", "1x1"],
+    )
+    def test_results_own_their_memory(self, matrix):
+        given_matrix = matrix.copy()
+        dec = jacobi_eigh(matrix)
+        values, vectors = dec.values.copy(), dec.vectors.copy()
+        assert not np.shares_memory(dec.values, dec.vectors)
+        dec.values[:] = math.nan
+        dec.vectors[:] = math.nan
+        assert np.array_equal(matrix, given_matrix)
+        again = jacobi_eigh(matrix)
+        assert np.array_equal(again.values, values)
+        assert np.array_equal(again.vectors, vectors)
+
     def test_group_signatures_pinned(self):
         # per cograph with n <= 8: group multiplicities and main flags by the
         # dense, cotree and condensed routes; no floats, so a change of solver
