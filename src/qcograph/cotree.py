@@ -111,16 +111,35 @@ def leaf_count(t: Cotree) -> int:
     return _leaf_counts(t).get(id(t), 1)
 
 
+def _normal_children(node: Internal) -> tuple[Cotree, ...] | list[Cotree]:
+    """The children of node's normal form, in order, read top-down: a child of
+    node's kind, or a single-child node, has its children read in its place."""
+    for c in node.children:
+        if isinstance(c, Internal) and (c.kind == node.kind or len(c.children) == 1):
+            break
+    else:
+        return node.children  # nothing to read through: the common case, kept cheap for _walk
+    kids: list[Cotree] = []
+    todo = list(reversed(node.children))
+    while todo:
+        c = todo.pop()
+        if isinstance(c, Internal) and (c.kind == node.kind or len(c.children) == 1):
+            todo.extend(reversed(c.children))
+        else:
+            kids.append(c)
+    return kids
+
+
 def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
     """Walk the normal form of a cotree with an explicit stack, parents before children.
 
-    A single-child node stands for its child, and a child of its parent's
-    kind has its children read in its place. Leaves are numbered in DFS
-    order. Returns the (lo, hi, kind) leaf range of every internal node,
-    parents first, and per bag (the leaf children of one node, or a lone
-    leaf as a J-bag) its (members, parent kind, degree). The degree is t - 1
-    under a J-parent plus, for each join ancestor A, the leaves of A outside
-    A's child on the path.
+    A single-child root stands for its child, and each node's children are
+    those of _normal_children. Leaves are numbered in DFS order. Returns
+    the (lo, hi, kind) leaf range of every internal node, parents first,
+    and per bag (the leaf children of one node, or a lone leaf as a J-bag)
+    its (members, parent kind, degree). The degree is t - 1 under a
+    J-parent plus, for each join ancestor A, the leaves of A outside A's
+    child on the path.
     """
     sizes = _leaf_counts(t)
     while isinstance(t, Internal) and len(t.children) == 1:
@@ -135,14 +154,10 @@ def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, 
         join = node.kind == JOIN
         ranges.append((lo, lo + total, node.kind))
         members = []
-        todo = list(reversed(node.children))
-        while todo:
-            c = todo.pop()
+        for c in _normal_children(node):
             if isinstance(c, Leaf):
                 members.append(lo)
                 lo += 1
-            elif c.kind == node.kind or len(c.children) == 1:
-                todo.extend(reversed(c.children))
             else:
                 size = sizes[id(c)]
                 stack.append((c, lo, acc + total - size if join else acc))

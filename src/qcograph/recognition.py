@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _post_order, from_graph, normalize, to_graph
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _normal_children, _post_order, from_graph, to_graph
 from .graph import Graph, bipartition, components, induced_subgraph
 from .spectra import algebraic_connectivity
 
@@ -455,12 +455,13 @@ class SatelliteSpec:
 def parse_generalized_core_satellite(source: Graph | Cotree) -> SatelliteSpec | None:
     """Recognize K_{n0} joined with a union of complete satellites, on the cotree.
 
-    The normalized cotree must be a J root with n0 >= 1 leaf children (the
-    core) and exactly one other child, which normalization makes a U-node;
-    each child of that U-node must be a leaf or a J-node of leaves (a
-    satellite). Returns None otherwise: for non-cographs, disconnected and
-    complete graphs (a one-satellite reading is rejected), and whenever some
-    satellite is not complete. Every graph recognized is quasi-threshold.
+    The normal form of the cotree, read top-down from its root, must be a
+    J root with n0 >= 1 leaf children (the core) and exactly one other
+    child, which the normal form makes a U-node; each child of that U-node
+    must be a leaf or a J-node of leaves (a satellite). Returns None
+    otherwise: for non-cographs, disconnected and complete graphs (a
+    one-satellite reading is rejected), and whenever some satellite is not
+    complete. Every graph recognized is quasi-threshold.
     A graph is read through ``from_graph``, whose cotree may nest to any depth.
     """
     if isinstance(source, Graph):
@@ -468,16 +469,19 @@ def parse_generalized_core_satellite(source: Graph | Cotree) -> SatelliteSpec | 
             source = from_graph(source)
         except NotCograph:
             return None
-    t = normalize(source)
+    t = source
+    while isinstance(t, Internal) and len(t.children) == 1:
+        t = t.children[0]
     if not (isinstance(t, Internal) and t.kind == JOIN):
         return None
-    rest = [c for c in t.children if isinstance(c, Internal)]
-    n0 = len(t.children) - len(rest)
+    kids = _normal_children(t)
+    rest = [c for c in kids if isinstance(c, Internal)]
+    n0 = len(kids) - len(rest)
     if n0 == 0 or len(rest) != 1:
         return None
-    kids = rest[0].children
-    if not all(isinstance(c, Leaf) or all(isinstance(x, Leaf) for x in c.children) for c in kids):
+    sats = [c if isinstance(c, Leaf) else _normal_children(c) for c in _normal_children(rest[0])]
+    if not all(isinstance(c, Leaf) or all(isinstance(x, Leaf) for x in c) for c in sats):
         return None
-    orders = Counter(1 if isinstance(c, Leaf) else len(c.children) for c in kids)
+    orders = Counter(1 if isinstance(c, Leaf) else len(c) for c in sats)
     satellites = tuple(sorted(((count, order) for order, count in orders.items()), key=lambda x: x[1]))
     return SatelliteSpec(n0=n0, satellites=satellites)

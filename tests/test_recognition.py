@@ -1,12 +1,14 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 import qcograph.recognition as recognition
-from qcograph.cotree import parse, to_graph
+from qcograph.cotree import JOIN, UNION, Internal, Leaf, from_graph, normalize, parse, to_graph
 from qcograph.enumeration import enumerate_cographs
+from qcograph.families import build_cotree, default_grids
 from qcograph.graph import Graph, bipartition, components, induced_subgraph, join, union
 from qcograph.recognition import (
     NotApplicable,
@@ -338,6 +340,23 @@ def reference_core_satellite(g):
     return dec.c, tuple(sorted(((count, order) for order, count in orders.items()), key=lambda x: x[1]))
 
 
+def normalized_reading(t):
+    """The parser's former cotree reading: normalize the whole tree, then read
+    the root, its one internal child and the satellites."""
+    t = normalize(t)
+    if not (isinstance(t, Internal) and t.kind == JOIN):
+        return None
+    rest = [c for c in t.children if isinstance(c, Internal)]
+    n0 = len(t.children) - len(rest)
+    if n0 == 0 or len(rest) != 1:
+        return None
+    kids = rest[0].children
+    if not all(isinstance(c, Leaf) or all(isinstance(x, Leaf) for x in c.children) for c in kids):
+        return None
+    orders = Counter(1 if isinstance(c, Leaf) else len(c.children) for c in kids)
+    return n0, tuple(sorted(((count, order) for order, count in orders.items()), key=lambda x: x[1]))
+
+
 class TestParseGeneralizedCoreSatellite:
     @staticmethod
     def _parsed(g):
@@ -350,6 +369,21 @@ class TestParseGeneralizedCoreSatellite:
                 t = parse(s)
                 g = to_graph(t)
                 assert self._parsed(t) == self._parsed(g) == reference_core_satellite(g), s
+
+    def test_top_down_reading_matches_normalized_reading(self):
+        trees = [from_graph(graph_of(s)) for n in range(1, 11) for s in enumerate_cographs(n).strings]
+        for specs in default_grids().values():
+            for spec in specs:
+                # K1 joined on, not normalized, bare and with lone-child wrappers
+                t = build_cotree(spec)
+                joined = Internal(JOIN, (Leaf(), t))
+                trees += [joined, Internal(UNION, (joined,)), Internal(JOIN, (Internal(UNION, (Leaf(),)), t))]
+        recognized = 0
+        for t in trees:
+            want = normalized_reading(t)
+            assert self._parsed(t) == want
+            recognized += want is not None
+        assert recognized > 300
 
     def test_matches_reference_on_kc_joins(self):
         rng = random.Random(3)
