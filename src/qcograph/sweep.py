@@ -52,6 +52,8 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
             axes.append(sorted(v) if isinstance(v, (list, tuple)) else [v])
         except TypeError:
             raise ValueError(f"sweep parameter {name!r} must be an integer or a list of integers") from None
+        if not axes[-1]:
+            raise ValueError(f"sweep parameter {name!r} has an empty list of values")
     points = 1
     for axis in axes:
         points *= len(axis)
