@@ -3,13 +3,15 @@
 A cotree is a rooted tree whose leaves are graph vertices and whose internal
 nodes are labeled U (disjoint union) or J (join). In normalized form every
 internal node has at least two children and no child of its own kind, which
-makes the representation canonical up to child order.
+makes the representation canonical up to child order. Each node records at
+construction whether it is normal, so every walk calls ``normalize`` once,
+free on a normal tree, and then reads ``node.children`` directly.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -49,8 +51,21 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Internal:
+    """A U or J node. ``normal`` is derived from the children alone, without
+    recursion: at least two children, each a leaf or a normal node of the
+    other kind. It takes no part in ``==``, ``hash`` or ``repr``."""
+
     kind: str  # UNION or JOIN
     children: tuple  # of Leaf | Internal
+    normal: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        normal = len(self.children) > 1
+        for c in self.children:
+            if isinstance(c, Internal) and (c.kind == self.kind or not c.normal):
+                normal = False
+                break
+        object.__setattr__(self, "normal", normal)
 
 
 Cotree = Leaf | Internal
@@ -111,39 +126,17 @@ def leaf_count(t: Cotree) -> int:
     return _leaf_counts(t).get(id(t), 1)
 
 
-def _normal_children(node: Internal) -> tuple[Cotree, ...] | list[Cotree]:
-    """The children of node's normal form, in order, read top-down: a child of
-    node's kind, or a single-child node, has its children read in its place."""
-    for c in node.children:
-        if isinstance(c, Internal) and (c.kind == node.kind or len(c.children) == 1):
-            break
-    else:
-        return node.children  # nothing to read through: the common case, kept cheap for _walk
-    kids: list[Cotree] = []
-    todo = list(reversed(node.children))
-    while todo:
-        c = todo.pop()
-        if isinstance(c, Internal) and (c.kind == node.kind or len(c.children) == 1):
-            todo.extend(reversed(c.children))
-        else:
-            kids.append(c)
-    return kids
-
-
 def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
     """Walk the normal form of a cotree with an explicit stack, parents before children.
 
-    A single-child root stands for its child, and each node's children are
-    those of _normal_children. Leaves are numbered in DFS order. Returns
-    the (lo, hi, kind) leaf range of every internal node, parents first,
-    and per bag (the leaf children of one node, or a lone leaf as a J-bag)
-    its (members, parent kind, degree). The degree is t - 1 under a
-    J-parent plus, for each join ancestor A, the leaves of A outside A's
-    child on the path.
+    Leaves are numbered in DFS order. Returns the (lo, hi, kind) leaf range
+    of every internal node, parents first, and per bag (the leaf children of
+    one node, or a lone leaf as a J-bag) its (members, parent kind, degree).
+    The degree is t - 1 under a J-parent plus, for each join ancestor A, the
+    leaves of A outside A's child on the path.
     """
+    t = normalize(t)
     sizes = _leaf_counts(t)
-    while isinstance(t, Internal) and len(t.children) == 1:
-        t = t.children[0]
     ranges: list[tuple[int, int, str]] = []
     records: list[tuple[tuple[int, ...], str, int]] = [] if isinstance(t, Internal) else [((0,), JOIN, 0)]
     # (node, first leaf, degree its bag gets from join ancestors)
@@ -154,7 +147,7 @@ def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, 
         join = node.kind == JOIN
         ranges.append((lo, lo + total, node.kind))
         members = []
-        for c in _normal_children(node):
+        for c in node.children:
             if isinstance(c, Leaf):
                 members.append(lo)
                 lo += 1
@@ -296,40 +289,34 @@ def _relabelled(t: Cotree, kinds: dict[str, str]) -> Cotree:
 
 
 def normalize(t: Cotree) -> Cotree:
-    """Collapse same-kind parent/child chains and elide single-child internals."""
+    """Collapse same-kind parent/child chains and elide single-child internals;
+    a leaf or a normal tree is returned as it is."""
+    if isinstance(t, Leaf) or t.normal:
+        return t
     return _relabelled(t, {UNION: UNION, JOIN: JOIN})
 
 
-_LEAF = (1, "J(1)", Leaf(), "", [])
+_LEAF = (1, "J(1)", Leaf())
 
 
-def _canon(t: Cotree) -> tuple:
-    """(leaf count, canonical string, canonical tree, kind, the children's such
-    records) of the normal form of t, built in the same walk. Children are
-    ordered by (leaf count, string), so leaves come first."""
+def _canon(t: Cotree, with_tree: bool) -> tuple:
+    """(leaf count, canonical string, canonical tree or None unless with_tree)
+    of the normal form of t. Children are ordered by (leaf count, string), so
+    leaves come first."""
+    t = normalize(t)
     done: dict[int, tuple] = {}
     for node in _post_order(t):
-        subs = []
-        for c in node.children:
-            rec = done.get(id(c), _LEAF)
-            if rec[3] == node.kind:
-                subs += rec[4]
-            else:
-                subs.append(rec)
-        if len(subs) == 1:
-            done[id(node)] = subs[0]
-            continue
-        subs.sort(key=itemgetter(0, 1))
+        subs = sorted((done.get(id(c), _LEAF) for c in node.children), key=itemgetter(0, 1))
         leaves = subs.count(_LEAF)
         parts = [str(leaves)] * (leaves > 0) + [rec[1] for rec in subs[leaves:]]
-        tree = Internal(node.kind, tuple(rec[2] for rec in subs))
-        done[id(node)] = sum(rec[0] for rec in subs), f"{node.kind}({','.join(parts)})", tree, node.kind, subs
+        tree = Internal(node.kind, tuple(rec[2] for rec in subs)) if with_tree else None
+        done[id(node)] = sum(rec[0] for rec in subs), f"{node.kind}({','.join(parts)})", tree
     return done.get(id(t), _LEAF)
 
 
 def canonicalize(t: Cotree) -> Cotree:
     """Reorder children into canonical order: leaves first, then by (size, string)."""
-    return _canon(t)[2]
+    return _canon(t, with_tree=True)[2]
 
 
 def canonical_string(t: Cotree) -> str:
@@ -337,7 +324,7 @@ def canonical_string(t: Cotree) -> str:
 
     The one-vertex cotree prints as "J(1)", which parses back to a single leaf.
     """
-    return _canon(t)[1]
+    return _canon(t, with_tree=False)[1]
 
 
 def to_graph(t: Cotree) -> Graph:
@@ -432,6 +419,10 @@ class BagRepresentation:
     @property
     def n(self) -> int:
         return sum(b.t for b in self.bags)
+
+    @property
+    def m(self) -> int:
+        return sum(b.t * b.p for b in self.bags) // 2
 
 
 def bags(t: Cotree) -> BagRepresentation:

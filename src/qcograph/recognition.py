@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _normal_children, _post_order, from_graph, to_graph
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _post_order, from_graph, normalize, to_graph
 from .graph import Graph, bipartition, components, induced_subgraph
 from .spectra import algebraic_connectivity
 
@@ -213,7 +213,7 @@ class ClassificationReport:
         return hash(self._key())
 
 
-_LEAF_RECORD = (1, 0, "", 0, 0, 0)
+_LEAF_RECORD = (1, 0, 0)
 
 
 def cotree_flags(t: Cotree) -> dict[str, bool]:
@@ -227,35 +227,29 @@ def cotree_flags(t: Cotree) -> dict[str, bool]:
     leaf. It is regular iff all leaves have one degree, complete iff that is
     n - 1.
 
-    One walk reads the normal form as it goes. A node's record holds its
-    leaves, the degree they all have inside its subtree (None if they
-    differ), and of its normal form the kind ("" for a leaf) and its
-    children: all, internal, and internal with internal children. Same-kind
-    children are merged in, and a single-child node takes its child's record.
+    One walk over the normal form. A node's record holds its leaves, the
+    degree they all have inside its subtree (None if they differ), and its
+    number of internal children.
     """
+    t = normalize(t)
     crowded = {JOIN: False, UNION: False}  # kind -> some node has two non-leaf children
     odd_join = False  # some J-node breaks the bipartite rule
     done: dict[int, tuple] = {}
     for node in _post_order(t):
-        if len(node.children) == 1:
-            done[id(node)] = done.get(id(node.children[0]), _LEAF_RECORD)
-            continue
-        join, size, kids, inner, deep, shifts = node.kind == JOIN, 0, 0, 0, 0, set()
+        join, size, inner, deep, shifts = node.kind == JOIN, 0, 0, False, set()
         for c in node.children:
-            c_size, c_deg, c_kind, c_kids, c_inner, c_deep = done.get(id(c), _LEAF_RECORD)
+            c_size, c_deg, c_inner = done.get(id(c), _LEAF_RECORD)
             size += c_size
             # the degree inside c's subtree, less c's size under a J-node
             shifts.add(c_deg - c_size if join and c_deg is not None else c_deg)
-            merged = c_kind == node.kind
-            kids += c_kids if merged else 1
-            inner += c_inner if merged else c_kind != ""
-            deep += c_deep if merged else c_inner > 0
+            inner += isinstance(c, Internal)
+            deep |= c_inner > 0
         crowded[node.kind] |= inner > 1
-        odd_join |= join and (kids != 2 or deep > 0)
+        odd_join |= join and (len(node.children) != 2 or deep)
         shift = shifts.pop() if len(shifts) == 1 else None
         deg = shift + size if join and shift is not None else shift
-        done[id(node)] = size, deg, node.kind, kids, inner, deep
-    n, deg, kind, _, _, _ = done.get(id(t), _LEAF_RECORD)
+        done[id(node)] = size, deg, inner
+    n, deg, _ = done.get(id(t), _LEAF_RECORD)
     qt = not crowded[JOIN]
     return {
         "is_chordal": qt,
@@ -264,7 +258,7 @@ def cotree_flags(t: Cotree) -> dict[str, bool]:
         "is_bipartite": not odd_join,
         "is_regular": deg is not None,
         "is_complete": deg == n - 1,
-        "is_connected": kind != UNION,
+        "is_connected": isinstance(t, Leaf) or t.kind == JOIN,
     }
 
 
@@ -455,33 +449,30 @@ class SatelliteSpec:
 def parse_generalized_core_satellite(source: Graph | Cotree) -> SatelliteSpec | None:
     """Recognize K_{n0} joined with a union of complete satellites, on the cotree.
 
-    The normal form of the cotree, read top-down from its root, must be a
-    J root with n0 >= 1 leaf children (the core) and exactly one other
-    child, which the normal form makes a U-node; each child of that U-node
-    must be a leaf or a J-node of leaves (a satellite). Returns None
-    otherwise: for non-cographs, disconnected and complete graphs (a
-    one-satellite reading is rejected), and whenever some satellite is not
-    complete. Every graph recognized is quasi-threshold.
-    A graph is read through ``from_graph``, whose cotree may nest to any depth.
+    The normal form of the cotree must be a J root with n0 >= 1 leaf
+    children (the core) and exactly one other child, which the normal form
+    makes a U-node; each child of that U-node must be a leaf or a J-node of
+    leaves (a satellite). Returns None otherwise: for non-cographs,
+    disconnected and complete graphs (a one-satellite reading is rejected),
+    and whenever some satellite is not complete. Every graph recognized is
+    quasi-threshold. A graph is read through ``from_graph``, whose cotree may
+    nest to any depth.
     """
     if isinstance(source, Graph):
         try:
             source = from_graph(source)
         except NotCograph:
             return None
-    t = source
-    while isinstance(t, Internal) and len(t.children) == 1:
-        t = t.children[0]
+    t = normalize(source)
     if not (isinstance(t, Internal) and t.kind == JOIN):
         return None
-    kids = _normal_children(t)
-    rest = [c for c in kids if isinstance(c, Internal)]
-    n0 = len(kids) - len(rest)
+    rest = [c for c in t.children if isinstance(c, Internal)]
+    n0 = len(t.children) - len(rest)
     if n0 == 0 or len(rest) != 1:
         return None
-    sats = [c if isinstance(c, Leaf) else _normal_children(c) for c in _normal_children(rest[0])]
-    if not all(isinstance(c, Leaf) or all(isinstance(x, Leaf) for x in c) for c in sats):
+    sats = rest[0].children
+    if not all(isinstance(c, Leaf) or all(isinstance(x, Leaf) for x in c.children) for c in sats):
         return None
-    orders = Counter(1 if isinstance(c, Leaf) else len(c) for c in sats)
+    orders = Counter(1 if isinstance(c, Leaf) else len(c.children) for c in sats)
     satellites = tuple(sorted(((count, order) for order, count in orders.items()), key=lambda x: x[1]))
     return SatelliteSpec(n0=n0, satellites=satellites)

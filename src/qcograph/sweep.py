@@ -30,7 +30,8 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
     """Evaluate a family over ranged parameters, from the cotree alone.
 
     The pattern is {"family": name, "params": {...}} where each parameter is
-    an int or a list of ints; the grid is their cartesian product, iterated
+    an int or a list of ints, and a parameter the family does not declare is
+    an error; the grid is their cartesian product, iterated
     lexicographically in parameter declaration order. Returns (header, rows).
     """
     if not isinstance(pattern, dict) or not isinstance(pattern.get("params", {}), dict):
@@ -54,6 +55,9 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
             raise ValueError(f"sweep parameter {name!r} must be an integer or a list of integers") from None
         if not axes[-1]:
             raise ValueError(f"sweep parameter {name!r} has an empty list of values")
+    unexpected = [name for name in raw if name not in names]
+    if unexpected:
+        raise ValueError(f"{family} takes parameters {list(names)}; unexpected {unexpected}")
     points = 1
     for axis in axes:
         points *= len(axis)
@@ -68,11 +72,10 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
         t = build_cotree(spec)
         b = bags(t)
         rep = q_spectrum_cotree(b)
-        m = sum(bag.t * bag.p for bag in b.bags) // 2
         report = classify(t)
         ms = (time.perf_counter() - start) * 1000.0
         row = [str(v) for _, v in spec.params]
-        row += [str(b.n), str(m), str(b.r), str(rep.main_count)]
+        row += [str(b.n), str(b.m), str(b.r), str(rep.main_count)]
         row.append(";".join(format(v, ".17g") for v in rep.main_values()))
         row += [str(getattr(report, flag)).lower() for flag in _FLAGS]
         row.append(format(ms, ".17g"))

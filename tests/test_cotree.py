@@ -584,3 +584,84 @@ class TestWalksPinned:
             assert rep.bags == want.bags and np.array_equal(rep.z, want.z)
             unnormalized += reference_normalize(t) != t
         assert unnormalized > 2000
+
+
+def subtrees(t: Cotree) -> list[Internal]:
+    """Every internal node under t, t included."""
+    out, todo = [], [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Internal):
+            out.append(node)
+            todo.extend(node.children)
+    return out
+
+
+class TestNormalFlag:
+    """Internal.normal holds exactly when the subtree is its own normal form,
+    and normalize returns such a tree itself."""
+
+    @staticmethod
+    def check(t: Cotree) -> None:
+        for node in subtrees(t):
+            assert node.normal == (reference_normalize(node) == node), repr(node)
+            if node.normal:
+                assert normalize(node) is node
+        norm = normalize(t)
+        assert isinstance(norm, Leaf) or norm.normal
+
+    def test_parsed_and_recovered_cographs_up_to_10(self):
+        count = 0
+        for n in range(1, 11):
+            for s in enumerate_cographs(n).strings:
+                parsed = parse(s)
+                for t in (parsed, from_graph(to_graph(parsed))):
+                    self.check(t)
+                    assert normalize(t) is t
+                count += 1
+        assert count == 6965
+
+    def test_random_unnormalized_trees(self):
+        rng = random.Random(11)
+        flagged = unflagged = 0
+        for _ in range(3000):
+            pool: dict[int, list[Cotree]] = {}
+            t = random_cotree(rng, rng.randint(1, 12), pool)
+            self.check(t)
+            if isinstance(t, Internal):
+                flagged += t.normal
+                unflagged += not t.normal
+        assert flagged > 100 and unflagged > 2000
+
+    def test_repr_hash_and_equality_ignore_the_flag(self):
+        t = parse("J(1,U(2,K(2)))")
+        assert repr(t) == (
+            "Internal(kind='J', children=(Leaf(), Internal(kind='U', children="
+            "(Leaf(), Leaf(), Internal(kind='J', children=(Leaf(), Leaf()))))))"
+        )
+        assert hash(t) == hash((t.kind, t.children))
+        lone = Internal(UNION, (Leaf(),))
+        assert not lone.normal and lone == Internal(UNION, (Leaf(),))
+        assert hash(lone) == hash((UNION, (Leaf(),)))
+
+    def test_deep_hand_built_chain(self):
+        depth = 20000
+        t: Cotree = Leaf()
+        u: Cotree = Internal(UNION, (Leaf(),))  # the same chain over a lone-child node
+        for i in range(depth):
+            kind = JOIN if i % 2 else UNION
+            t, u = Internal(kind, (Leaf(), t)), Internal(kind, (Leaf(), u))
+        assert t.normal and not u.normal
+        assert normalize(t) is t
+        v = normalize(u)
+        assert v.normal and leaf_count(v) == leaf_count(t) == leaf_count(u) == depth + 1
+        want = {
+            "is_chordal": True,
+            "is_quasi_threshold": True,
+            "is_threshold": True,
+            "is_bipartite": False,
+            "is_regular": False,
+            "is_complete": False,
+            "is_connected": True,
+        }
+        assert cotree_flags(t) == cotree_flags(u) == cotree_flags(v) == want
