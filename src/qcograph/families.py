@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Sequence
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, canonicalize, leaf_count, to_graph
+from .cotree import JOIN, UNION, Cotree, Leaf, _normal_step, canonicalize, leaf_count, to_graph
 from .graph import MAX_EDGE_LIST_N, Graph
 from . import oracle
 
@@ -105,27 +105,38 @@ def _broken_clause(row: "_Family", params: dict) -> str | None:
     return next((text for text, holds in row.clauses if not holds(params)), None)
 
 
+# Each builder node is made in normal form, so build_cotree's canonicalize never normalizes.
+
+
+def _J(*kids: Cotree) -> Cotree:
+    return _normal_step(JOIN, list(kids))
+
+
+def _U(*kids: Cotree) -> Cotree:
+    return _normal_step(UNION, list(kids))
+
+
 def _K(n: int) -> Cotree:
-    return Leaf() if n == 1 else Internal(JOIN, tuple(Leaf() for _ in range(n)))
+    return _J(*[Leaf()] * n)
 
 
 def _E(n: int) -> Cotree:
-    return Leaf() if n == 1 else Internal(UNION, tuple(Leaf() for _ in range(n)))
+    return _U(*[Leaf()] * n)
 
 
 def _star(b: int) -> Cotree:
     """K_1 joined with b isolated vertices."""
-    return Internal(JOIN, (Leaf(), _E(b)))
+    return _J(Leaf(), _E(b))
 
 
 def _core(c: int, orders: list[int]) -> Cotree:
     """K_c joined with the disjoint union of cliques of the given orders."""
-    return Internal(JOIN, (_K(c), Internal(UNION, tuple(_K(a) for a in orders))))
+    return _J(_K(c), _U(*[_K(a) for a in orders]))
 
 
 def _tiered(block: Cotree, x: int, y: int, p1: int, p2: int, p3: int) -> Cotree:
     """p1 copies of block, p2 copies of K_x and p3 copies of K_y (H6, H7, H8)."""
-    return Internal(UNION, (block,) * p1 + (_K(x),) * p2 + (_K(y),) * p3)
+    return _U(*[block] * p1, *[_K(x)] * p2, *[_K(y)] * p3)
 
 
 def _pair_mains(c: int, a: int, b: int) -> list[float]:
@@ -190,12 +201,12 @@ _FAMILIES: dict[str, _Family] = {
     "Empty": _Family(("n",), lambda n: _E(n), lambda n: [0.0]),
     "CompleteSplit": _Family(
         ("a", "b"),
-        lambda a, b: Internal(JOIN, (_K(a), _E(b))),
+        lambda a, b: _J(_K(a), _E(b)),
         lambda a, b: [float(2 * a)] if b == 1 else list(oracle.mains_complete_split(a, b)),  # b=1: K_{a+1}
     ),
     "BipartiteJoin": _Family(
         ("a", "b"),
-        lambda a, b: Internal(JOIN, (_E(a), _E(b))),
+        lambda a, b: _J(_E(a), _E(b)),
         lambda a, b: [float(2 * a)] if a == b else [float(a + b), 0.0],
     ),
     "CoreUnion": _Family(("c", "a", "b"), lambda c, a, b: _core(c, [a, b]), _pair_mains),
@@ -217,7 +228,7 @@ _FAMILIES: dict[str, _Family] = {
     ),
     "H1": _Family(
         ("a", "b", "p"),
-        lambda a, b, p: Internal(UNION, (_E(a),) + (_K(b),) * p),
+        lambda a, b, p: _U(_E(a), *[_K(b)] * p),
         lambda a, b, p: [float(2 * b - 2), 0.0],
         clauses=(_at_least_2("b"),),
         grid=(range(1, 6), range(2, 6), _P3),
@@ -226,51 +237,49 @@ _FAMILIES: dict[str, _Family] = {
     ),
     "H2": _Family(
         ("a", "b", "p"),  # a=1 is accepted and coincides with H2p(b, p)
-        lambda a, b, p: Internal(UNION, (Internal(JOIN, (_K(a), _E(b))),) * p),
+        lambda a, b, p: _U(*[_J(_K(a), _E(b))] * p),
         lambda a, b, p: list(oracle.mains_complete_split(a, b)),
         clauses=(_at_least_2("b"), _at_least_2("p")),
         grid=(range(2, 6), range(2, 6), range(2, 4)),
     ),
     "H2p": _Family(
         ("b", "p"),
-        lambda b, p: Internal(UNION, (_star(b),) * p),
+        lambda b, p: _U(*[_star(b)] * p),
         lambda b, p: [float(1 + b), 0.0],
         clauses=(_at_least_2("b"), _at_least_2("p")),
         grid=(range(2, 6), range(2, 4)),
     ),
     "H2pp": _Family(
         ("b", "p1", "p2"),
-        lambda b, p1, p2: Internal(UNION, (_E(p1),) + (_star(b),) * p2),
+        lambda b, p1, p2: _U(_E(p1), *[_star(b)] * p2),
         lambda b, p1, p2: [float(1 + b), 0.0],
         clauses=(_at_least_2("b"), ("p1 >= 2 or p2 >= 2", lambda p: p["p1"] >= 2 or p["p2"] >= 2)),
         grid=(range(2, 6), _P3, _P3),
     ),
     "H3": _Family(
         ("s", "a1", "a2", "p"),
-        lambda s, a1, a2, p: Internal(UNION, (_core(s, [a1, a2]),) * p),
+        lambda s, a1, a2, p: _U(*[_core(s, [a1, a2])] * p),
         lambda s, a1, a2, p: _pair_mains(s, a1, a2),
         clauses=(_at_least_2("p"), ("a1 >= 2 or a2 >= 2", lambda p: p["a1"] >= 2 or p["a2"] >= 2)),
         grid=(range(1, 4), range(1, 5), range(1, 5), range(2, 4)),
     ),
     "H4": _Family(
         ("a", "p1", "p2"),
-        lambda a, p1, p2: Internal(UNION, (_K(a),) * p1 + (_star(2 * a - 3),) * p2),
+        lambda a, p1, p2: _U(*[_K(a)] * p1, *[_star(2 * a - 3)] * p2),
         lambda a, p1, p2: [2.0] if a == 2 else [float(2 * a - 2), 0.0],  # a=2: every block is K_2
         clauses=(_at_least_2("a"),),
         grid=(range(3, 6), _P3, _P3),
     ),
     "H5": _Family(
         ("a", "p1", "p2", "p3"),
-        lambda a, p1, p2, p3: Internal(UNION, (_K(a),) * p1 + (_star(2 * a - 3),) * p2 + (_E(p3),)),
+        lambda a, p1, p2, p3: _U(*[_K(a)] * p1, *[_star(2 * a - 3)] * p2, _E(p3)),
         lambda a, p1, p2, p3: [float(2 * a - 2), 0.0],
         clauses=(_at_least_2("a"),),
         grid=(range(2, 6), _P3, _P3, _P3),
     ),
     "H6": _Family(
         ("s", "p1", "p2", "p3"),
-        lambda s, p1, p2, p3: _tiered(
-            Internal(JOIN, (_K(2 * s - 1), _E(3 * s))), 4 * s - 1, (s + 1) // 2, p1, p2, p3
-        ),
+        lambda s, p1, p2, p3: _tiered(_J(_K(2 * s - 1), _E(3 * s)), 4 * s - 1, (s + 1) // 2, p1, p2, p3),
         lambda s, p1, p2, p3: [float(8 * s - 4), float(s - 1)],
         clauses=(("s odd", lambda p: p["s"] % 2 == 1),),
         grid=(range(1, 6), _P2, _P2, _P2),

@@ -10,17 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cotree import Cotree, NotCograph, bags, from_graph
-from .graph import Graph, bipartition, complement, components, induced_subgraph
-from .recognition import (
-    NotApplicable,
-    cotree_flags,
-    is_complete,
-    is_regular,
-    parse_generalized_core_satellite,
-    universal_vertices,
+from .cotree import (
+    JOIN, UNION, Cotree, Internal, Leaf, NotCograph, bags, complement_cotree, from_graph, leaf_count, normalize
 )
-from .spectra import main_count as _main_count
+from .graph import Graph, bipartition, components, induced_subgraph
+from .recognition import NotApplicable, cotree_flags, is_regular, parse_generalized_core_satellite
+from .spectra import q_spectrum_cotree
 
 __all__ = [
     "quadratic_roots",
@@ -119,19 +114,31 @@ def mains_core_satellite_pair(c: int, a: int) -> tuple[float, float]:
     return quadratic_roots(bq, cq)
 
 
-def zero_is_q_main(g: Graph) -> bool:
+def zero_is_q_main(g: Graph | Cotree) -> bool:
     """Whether 0 is a main Q-eigenvalue of g, decided without a spectrum.
 
     The 0-eigenspace of Q is spanned by one vector per bipartite component,
     +1 on one colour class and -1 on the other; its sum is the difference of
     the class sizes. So 0 is main iff some bipartite component has classes
     of unequal size. An isolated vertex counts, with classes of size 1 and 0.
+
+    A graph is read densely (components, then a two-colouring of each): the
+    independent reference. A cotree is read in normal form: the components
+    are the children of a U root, else the tree itself, and a component that
+    is not a leaf is bipartite (``cotree_flags``) iff it is a J-node over
+    its two colour classes.
     """
-    for block in components(g):
-        sides = bipartition(induced_subgraph(g, block))
-        if sides is not None and len(sides[0]) != len(sides[1]):
-            return True
-    return False
+    if isinstance(g, Graph):
+        for block in components(g):
+            sides = bipartition(induced_subgraph(g, block))
+            if sides is not None and len(sides[0]) != len(sides[1]):
+                return True
+        return False
+    t = normalize(g)
+    return any(
+        isinstance(c, Leaf) or (cotree_flags(c)["is_bipartite"] and len({leaf_count(x) for x in c.children}) == 2)
+        for c in (t.children if isinstance(t, Internal) and t.kind == UNION else (t,))
+    )
 
 
 @dataclass(frozen=True)
@@ -179,57 +186,53 @@ def _predict_from_satellites(n0: int, satellites: tuple[tuple[int, int], ...]) -
 
 
 def predict_main_count(obj) -> MainCountPrediction:
-    """Decision ladder over the structural theorems.
+    """Decision ladder over the structural theorems, read off one normalized
+    cotree: that of a cotree, of a FamilySpec (``build_cotree``, no graph)
+    or of a graph (``from_graph``, once).
 
     1. regular graphs (complete included) have exactly one main eigenvalue;
     2-4. generalized core-satellite shapes by satellite pattern;
-    5. strip all universal vertices: if the remainder h has k' >= 2 mains the
-       join adds one iff 0 is not a main eigenvalue of complement(h) (see
-       zero_is_q_main); "adds one iff complement(h) is non-bipartite" is
-       exact only when complement(h) is connected;
+    5. the universal vertices are the leaf children of a J root: if the
+       remainder h (its other children) has k' >= 2 mains the join adds one
+       iff 0 is not a main eigenvalue of complement(h) (see zero_is_q_main);
+       "adds one iff complement(h) is non-bipartite" is exact only when
+       complement(h) is connected;
     6. otherwise only the cotree-width bound is asserted.
+
+    A graph that is not a cograph gets rule 1 or the order bound only: rule 5
+    would need a dense eigensolve of h, as costly as one of the graph.
     """
-    from .families import FamilySpec, build  # deferred: families imports this module
+    from .families import FamilySpec, build_cotree  # deferred: families imports this module
 
     if isinstance(obj, FamilySpec):
-        obj = build(obj)[1]
-    if isinstance(obj, Graph):
-        return _predict_graph(obj)
-    raise TypeError(f"expected Graph or FamilySpec, got {type(obj)!r}")
-
-
-def _predict_graph(g: Graph) -> MainCountPrediction:
-    if g.n >= 1 and is_regular(g):
-        if is_complete(g):
-            return MainCountPrediction(k=1, rule="CompleteGraph", premises=f"K_{g.n} is complete")
-        d = int(g.degrees()[0]) if g.n else 0
-        return MainCountPrediction(k=1, rule="Regular", premises=f"{d}-regular graph")
-    try:
-        t = from_graph(g)
-    except NotCograph:
-        t = None
-    sat = None if t is None else parse_generalized_core_satellite(t)
+        obj = build_cotree(obj)
+    elif isinstance(obj, Graph):
+        try:
+            obj = from_graph(obj)
+        except NotCograph:
+            if is_regular(obj):
+                return MainCountPrediction(k=1, rule="Regular", premises=f"{int(obj.degrees()[0])}-regular graph")
+            return MainCountPrediction(k=obj.n, rule="WidthBoundOnly", premises="not a cograph; trivial order bound")
+    elif not isinstance(obj, (Leaf, Internal)):
+        raise TypeError(f"expected Cotree, FamilySpec or Graph, got {type(obj)!r}")
+    t = normalize(obj)
+    flags = cotree_flags(t)
+    if flags["is_complete"]:
+        return MainCountPrediction(k=1, rule="CompleteGraph", premises=f"K_{leaf_count(t)} is complete")
+    if flags["is_regular"]:
+        return MainCountPrediction(k=1, rule="Regular", premises=f"{bags(t).bags[0].p}-regular graph")
+    sat = parse_generalized_core_satellite(t)
     if sat is not None:
         return _predict_from_satellites(sat.n0, sat.satellites)
-    uni = universal_vertices(g)
-    if uni and len(uni) < g.n:
-        rest = [v for v in range(g.n) if v not in set(uni)]
-        h = induced_subgraph(g, rest)
-        k_h = _main_count(h)
+    rest = [c for c in t.children if isinstance(c, Internal)] if t.kind == JOIN else []
+    if 0 < len(rest) < len(t.children):
+        h = rest[0] if len(rest) == 1 else Internal(JOIN, tuple(rest))
+        k_h = q_spectrum_cotree(h).main_count
         if k_h >= 2:
-            if zero_is_q_main(complement(h)):
-                return MainCountPrediction(
-                    k=k_h,
-                    rule="JoinKcZeroMain",
-                    premises=f"K_{len(uni)} joined to a remainder with {k_h} mains; 0 is main in its complement",
-                )
-            return MainCountPrediction(
-                k=k_h + 1,
-                rule="JoinKcZeroNotMain",
-                premises=f"K_{len(uni)} joined to a remainder with {k_h} mains; 0 is not main in its complement",
-            )
-    if t is None:
-        return MainCountPrediction(k=g.n, rule="WidthBoundOnly", premises="not a cograph; trivial order bound")
+            head = f"K_{len(t.children) - len(rest)} joined to a remainder with {k_h} mains"
+            if zero_is_q_main(complement_cotree(h)):
+                return MainCountPrediction(k_h, "JoinKcZeroMain", f"{head}; 0 is main in its complement")
+            return MainCountPrediction(k_h + 1, "JoinKcZeroNotMain", f"{head}; 0 is not main in its complement")
     width = bags(t).r
     return MainCountPrediction(k=width, rule="WidthBoundOnly", premises=f"cotree width {width} (upper bound only)")
 

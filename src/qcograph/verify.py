@@ -165,8 +165,9 @@ def _two_main_characterization(max_n: int) -> Iterator[_Row]:
 def _gcs_count(specs: list[FamilySpec]) -> Iterator[_Row]:
     """Generalized core-satellite graphs have exactly the predicted main count."""
     for spec in specs:
-        pred = predict_main_count(spec)
-        k = q_spectrum_cotree(build_cotree(spec)).main_count
+        t = build_cotree(spec)
+        pred = predict_main_count(t)
+        k = q_spectrum_cotree(t).main_count
         desc = str(spec.to_json_dict())
         yield desc, desc, f"k = {pred.k} ({pred.rule})", f"k = {k}", k == pred.k, abs(k - pred.k)
 

@@ -2,8 +2,17 @@ import math
 
 import pytest
 
-from qcograph.cotree import canonical_string, to_graph
-from qcograph.families import FAMILY_PARAMS, FamilySpec, build, build_cotree, default_grid, default_grids, expected_mains
+from qcograph.cotree import Leaf, canonical_string, to_graph
+from qcograph.families import (
+    _FAMILIES,
+    FAMILY_PARAMS,
+    FamilySpec,
+    build,
+    build_cotree,
+    default_grid,
+    default_grids,
+    expected_mains,
+)
 from qcograph.graph import MAX_EDGE_LIST_N, Graph
 from qcograph.oracle import predict_main_count
 from qcograph.recognition import classify
@@ -101,14 +110,22 @@ class TestBuild:
         spec = FamilySpec.make("Complete", n=MAX_EDGE_LIST_N + 1)
         with pytest.raises(ValueError, match=f"Complete: n = {MAX_EDGE_LIST_N + 1}"):
             build(spec)
-        with pytest.raises(ValueError, match=f"Complete: n = {MAX_EDGE_LIST_N + 1}"):
-            predict_main_count(spec)
+        pred = predict_main_count(spec)  # read off the cotree: no cap
+        assert (pred.rule, pred.k) == ("CompleteGraph", 1)
         assert canonical_string(build_cotree(spec)) == f"J({MAX_EDGE_LIST_N + 1})"
 
 
 class TestGolden:
     def test_one_instance_per_family(self):
         assert sorted(f for f, _, _ in GOLDEN) == sorted(FAMILY_PARAMS)
+
+    def test_builders_emit_normal_trees(self):
+        # build_cotree's canonicalize then has nothing to normalize
+        specs = [FamilySpec.make(f, **params) for f, params, _ in GOLDEN]
+        specs += default_grid("GeneralizedCoreSatellite") + [s for grid in default_grids().values() for s in grid]
+        for spec in specs:
+            raw = _FAMILIES[spec.family].cotree(**spec.param_dict())
+            assert isinstance(raw, Leaf) or raw.normal, spec
 
     @pytest.mark.parametrize("family, params, cotree", GOLDEN, ids=[f for f, _, _ in GOLDEN])
     def test_cotree_and_mains(self, family, params, cotree):

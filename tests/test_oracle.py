@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 
 import pytest
 
-from qcograph.cotree import parse, to_graph
+from qcograph.cotree import complement_cotree, parse, to_graph
+from qcograph.enumeration import enumerate_cographs
 from qcograph.families import FamilySpec
 from qcograph.graph import Graph
 from qcograph.oracle import (
@@ -209,6 +212,74 @@ class TestPredictMainCount:
         pred = predict_main_count(Graph.complete(3))
         data = pred.to_json_dict()
         assert data["k"] == 1 and data["rule"] == "CompleteGraph" and data["exact"]
+
+
+# sha1 of "<canonical string> <prediction json, sorted keys>\n" over the
+# n <= 10 enumeration, as the graph-input ladder answered it before the
+# ladder moved onto the cotree
+PREDICTIONS_N10_SHA1 = "4524db7a3c79c7675600a4393854bf4d30a8df33"
+
+# one cograph per rule of the ladder
+RULE_EXAMPLES = [
+    ("K(5)", "CompleteGraph", 1),
+    ("U(2*K(3))", "Regular", 1),
+    ("J(2, U(3*J(2)))", "CoreSatelliteP1", 2),
+    ("J(1, U(J(1), J(2)))", "TwoMainFormA", 2),
+    ("J(1, U(J(1), J(2), J(3)))", "GcsPplus1", 4),
+    ("J(1, U(2), U(1, J(2)))", "JoinKcZeroMain", 3),
+    ("J(1, U(2), U(3))", "JoinKcZeroNotMain", 3),
+    ("U(1, J(2))", "WidthBoundOnly", 2),
+]
+
+
+class TestPredictOnCotree:
+    def test_predictions_pinned_over_n10(self):
+        digest = hashlib.sha1()
+        for n in range(1, 11):
+            for s in enumerate_cographs(n).strings:
+                pred = predict_main_count(parse(s))
+                digest.update(f"{s} {json.dumps(pred.to_json_dict(), sort_keys=True)}\n".encode())
+        assert digest.hexdigest() == PREDICTIONS_N10_SHA1
+
+    def test_cotree_and_graph_input_agree(self, spectral_table):
+        table, _ = spectral_table
+        for s, entry in table.items():
+            assert predict_main_count(parse(s)) == predict_main_count(entry.graph), s
+
+    def test_zero_main_reading_matches_dense(self):
+        for n in range(1, 11):
+            for s in enumerate_cographs(n).strings:
+                t = parse(s)
+                for u in (t, complement_cotree(t)):
+                    assert zero_is_q_main(u) == zero_is_q_main(to_graph(u)), s
+
+    def test_builds_no_graph(self, monkeypatch):
+        trees = [(parse(expr), rule, k) for expr, rule, k in RULE_EXAMPLES]
+        big = FamilySpec.make("GeneralizedCoreSatellite", n0=100_000, satellites=[(3, 5), (2, 7)])
+
+        def refuse(self, adj):
+            raise AssertionError("a Graph was built")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        for t, rule, k in trees:
+            pred = predict_main_count(t)
+            assert (pred.rule, pred.k) == (rule, k)
+        pred = predict_main_count(big)
+        assert (pred.rule, pred.k) == ("GcsPplus1", 3)
+        assert pred.premises == "core K_100000 with 5 satellites in 2 order classes"
+
+    def test_non_cographs_keep_regular_and_order_bound(self):
+        c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+        pred = predict_main_count(c5)
+        assert (pred.rule, pred.k, pred.premises) == ("Regular", 1, "2-regular graph")
+        # K_1 joined with P4: not a cograph, not regular
+        k1_p4 = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4)] + [(0, v) for v in range(1, 5)])
+        pred = predict_main_count(k1_p4)
+        assert (pred.rule, pred.k, pred.exact) == ("WidthBoundOnly", 5, False)
+
+    def test_rejects_other_input(self):
+        with pytest.raises(TypeError, match="expected Cotree, FamilySpec or Graph"):
+            predict_main_count("J(2)")
 
 
 class TestDecompositionDichotomy:
