@@ -40,16 +40,16 @@ def _load_json_arg(value: str):
     raise UsageError(f"not valid JSON and not an existing file: {value!r}")
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: str, allowed: set[str]) -> dict:
+    """The config file's settings; a key the command does not use is a usage error."""
     if path is None:
         return {}
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
-    allowed = {"tol_group", "tol_main", "sweep_cap"}
     unknown = set(cfg) - allowed
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)} (allowed: {sorted(allowed)})")
+        raise UsageError(f"config keys not used by {command}: {sorted(unknown)} (it takes {sorted(allowed)})")
     for key in ("tol_group", "tol_main"):
         if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float))):
             raise UsageError(f"config {key} must be a number, got {cfg[key]!r}")
@@ -72,7 +72,7 @@ def _input_from_args(args) -> Cotree | Graph:
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "spectrum", {"tol_group", "tol_main"})
     tol_group = args.tol_group if args.tol_group is not None else cfg.get("tol_group")
     tol_main = args.tol_main if args.tol_main is not None else cfg.get("tol_main")
     source = _input_from_args(args)
@@ -154,7 +154,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, "sweep", {"sweep_cap"})
     pattern = _load_json_arg(args.family)
     header, rows = sweep(pattern, cap=cfg.get("sweep_cap", SWEEP_CAP))
     text = sweep_to_csv(header, rows)
@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true", help="plain table output (default)")
     p.add_argument("--tol-group", type=float, default=None)
     p.add_argument("--tol-main", type=float, default=None)
-    p.add_argument("--config", default=None, help="JSON config file (tol_group, tol_main, sweep_cap)")
+    p.add_argument("--config", default=None, help="JSON config file (tol_group, tol_main)")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("classify", help="structural class flags")
@@ -225,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep a family over ranged parameters")
     p.add_argument("--family", required=True, help="JSON with list-valued parameters")
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help="JSON config file (sweep_cap)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("enumerate", help="list all cographs on n vertices")

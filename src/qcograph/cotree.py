@@ -4,8 +4,9 @@ A cotree is a rooted tree whose leaves are graph vertices and whose internal
 nodes are labeled U (disjoint union) or J (join). In normalized form every
 internal node has at least two children and no child of its own kind, which
 makes the representation canonical up to child order. Each node records at
-construction whether it is normal, so every walk calls ``normalize`` once,
-free on a normal tree, and then reads ``node.children`` directly.
+construction whether it is normal, its leaf count ``n`` and the degree its
+leaves share in its graph, so every walk calls ``normalize`` once, free on a
+normal tree, and then reads ``node.children`` and these facts directly.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "normalize",
     "canonicalize",
     "canonical_string",
-    "leaf_count",
     "to_graph",
     "from_graph",
     "complement_cotree",
@@ -46,26 +46,45 @@ JOIN = "J"
 
 @dataclass(frozen=True)
 class Leaf:
-    pass
+    n = 1  # leaf count
+    degree = 0  # degree of the vertex in its own one-vertex graph
 
 
 @dataclass(frozen=True)
 class Internal:
-    """A U or J node. ``normal`` is derived from the children alone, without
-    recursion: at least two children, each a leaf or a normal node of the
-    other kind. It takes no part in ``==``, ``hash`` or ``repr``."""
+    """A U or J node. Three facts are derived from the children alone, without
+    recursion, and take no part in ``==``, ``hash`` or ``repr``:
+
+    - ``normal``: at least two children, each a leaf or a normal node of the
+      other kind;
+    - ``n``: the number of leaves below;
+    - ``degree``: the degree every leaf has in the subtree's graph, or None
+      if they differ.
+
+    ``n`` and ``degree`` are facts of the subtree's graph, so they are the
+    same for a tree and its normal form.
+    """
 
     kind: str  # UNION or JOIN
     children: tuple  # of Leaf | Internal
     normal: bool = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
+    degree: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        normal = len(self.children) > 1
-        for c in self.children:
-            if isinstance(c, Internal) and (c.kind == self.kind or not c.normal):
+        kind, children = self.kind, self.children
+        join = kind == JOIN
+        normal, n, shifts = len(children) > 1, 0, set()
+        for c in children:
+            n += c.n
+            # under a J-node a leaf of c gains the n - c.n leaves outside c
+            shifts.add(c.degree - c.n if join and c.degree is not None else c.degree)
+            if normal and isinstance(c, Internal) and (c.kind == kind or not c.normal):
                 normal = False
-                break
+        shift = shifts.pop() if len(shifts) == 1 else None
         object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degree", shift + n if join and shift is not None else shift)
 
 
 Cotree = Leaf | Internal
@@ -111,21 +130,6 @@ def _normal_step(kind: str, kids: list[Cotree]) -> Cotree:
     return flat[0] if len(flat) == 1 else Internal(kind, tuple(flat))
 
 
-def _leaf_counts(t: Cotree) -> dict[int, int]:
-    """Leaf count of every internal node under t, keyed by id(node); a leaf is absent."""
-    sizes: dict[int, int] = {}
-    for node in _post_order(t):
-        size = 0
-        for c in node.children:
-            size += sizes.get(id(c), 1)
-        sizes[id(node)] = size
-    return sizes
-
-
-def leaf_count(t: Cotree) -> int:
-    return _leaf_counts(t).get(id(t), 1)
-
-
 def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
     """Walk the normal form of a cotree with an explicit stack, parents before children.
 
@@ -136,25 +140,22 @@ def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, 
     leaves of A outside A's child on the path.
     """
     t = normalize(t)
-    sizes = _leaf_counts(t)
     ranges: list[tuple[int, int, str]] = []
     records: list[tuple[tuple[int, ...], str, int]] = [] if isinstance(t, Internal) else [((0,), JOIN, 0)]
     # (node, first leaf, degree its bag gets from join ancestors)
     stack = [(t, 0, 0)] if isinstance(t, Internal) else []
     while stack:
         node, lo, acc = stack.pop()
-        total = sizes[id(node)]
+        total = node.n
         join = node.kind == JOIN
         ranges.append((lo, lo + total, node.kind))
         members = []
         for c in node.children:
             if isinstance(c, Leaf):
                 members.append(lo)
-                lo += 1
             else:
-                size = sizes[id(c)]
-                stack.append((c, lo, acc + total - size if join else acc))
-                lo += size
+                stack.append((c, lo, acc + total - c.n if join else acc))
+            lo += c.n
         if members:
             records.append((tuple(members), node.kind, acc + total - 1 if join else acc))
     return ranges, records
@@ -310,7 +311,7 @@ def _canon(t: Cotree, with_tree: bool) -> tuple:
         leaves = subs.count(_LEAF)
         parts = [str(leaves)] * (leaves > 0) + [rec[1] for rec in subs[leaves:]]
         tree = Internal(node.kind, tuple(rec[2] for rec in subs)) if with_tree else None
-        done[id(node)] = sum(rec[0] for rec in subs), f"{node.kind}({','.join(parts)})", tree
+        done[id(node)] = node.n, f"{node.kind}({','.join(parts)})", tree
     return done.get(id(t), _LEAF)
 
 
@@ -330,7 +331,7 @@ def canonical_string(t: Cotree) -> str:
 def to_graph(t: Cotree) -> Graph:
     """Build the graph of a cotree: leaves in DFS order, adjacency iff the LCA is a join."""
     ranges, _ = _walk(t)
-    return Graph(_block_fill(ranges[0][1] if ranges else 1, ranges))
+    return Graph(_block_fill(t.n, ranges))
 
 
 def from_graph(g: Graph) -> Cotree:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Sequence
 
-from .cotree import JOIN, UNION, Cotree, Leaf, _normal_step, canonicalize, leaf_count, to_graph
+from .cotree import JOIN, UNION, Cotree, Leaf, _normal_step, canonicalize, to_graph
 from .graph import MAX_EDGE_LIST_N, Graph
 from . import oracle
 
@@ -53,12 +53,6 @@ class FamilySpec:
         if clause is not None:
             raise ValueError(f"{family}: parameter invariant violated: {clause}")
         return cls(family=family, params=tuple(values.items()))
-
-    def __getitem__(self, name: str):
-        for k, v in self.params:
-            if k == name:
-                return v
-        raise KeyError(name)
 
     def param_dict(self) -> dict:
         return dict(self.params)
@@ -312,7 +306,7 @@ def build(spec: FamilySpec) -> tuple[Cotree, Graph]:
     """Canonical cotree and its graph, refused (ValueError) beyond
     ``MAX_EDGE_LIST_N`` vertices, where the dense n x n routes stop."""
     t = build_cotree(spec)
-    n = leaf_count(t)
+    n = t.n
     if n > MAX_EDGE_LIST_N:
         raise ValueError(
             f"{spec.family}: n = {n} exceeds the {MAX_EDGE_LIST_N}-vertex limit of the dense graph"

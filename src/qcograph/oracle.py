@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cotree import (
-    JOIN, UNION, Cotree, Internal, Leaf, NotCograph, bags, complement_cotree, from_graph, leaf_count, normalize
-)
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, bags, complement_cotree, from_graph, normalize
 from .graph import Graph, bipartition, components, induced_subgraph
 from .recognition import NotApplicable, cotree_flags, is_regular, parse_generalized_core_satellite
 from .spectra import q_spectrum_cotree
@@ -136,7 +134,7 @@ def zero_is_q_main(g: Graph | Cotree) -> bool:
         return False
     t = normalize(g)
     return any(
-        isinstance(c, Leaf) or (cotree_flags(c)["is_bipartite"] and len({leaf_count(x) for x in c.children}) == 2)
+        isinstance(c, Leaf) or (cotree_flags(c)["is_bipartite"] and len({x.n for x in c.children}) == 2)
         for c in (t.children if isinstance(t, Internal) and t.kind == UNION else (t,))
     )
 
@@ -216,11 +214,10 @@ def predict_main_count(obj) -> MainCountPrediction:
     elif not isinstance(obj, (Leaf, Internal)):
         raise TypeError(f"expected Cotree, FamilySpec or Graph, got {type(obj)!r}")
     t = normalize(obj)
-    flags = cotree_flags(t)
-    if flags["is_complete"]:
-        return MainCountPrediction(k=1, rule="CompleteGraph", premises=f"K_{leaf_count(t)} is complete")
-    if flags["is_regular"]:
-        return MainCountPrediction(k=1, rule="Regular", premises=f"{bags(t).bags[0].p}-regular graph")
+    if t.degree == t.n - 1:
+        return MainCountPrediction(k=1, rule="CompleteGraph", premises=f"K_{t.n} is complete")
+    if t.degree is not None:
+        return MainCountPrediction(k=1, rule="Regular", premises=f"{t.degree}-regular graph")
     sat = parse_generalized_core_satellite(t)
     if sat is not None:
         return _predict_from_satellites(sat.n0, sat.satellites)

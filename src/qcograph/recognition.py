@@ -213,9 +213,6 @@ class ClassificationReport:
         return hash(self._key())
 
 
-_LEAF_RECORD = (1, 0, 0)
-
-
 def cotree_flags(t: Cotree) -> dict[str, bool]:
     """The flags of ``classify`` for the cograph of a cotree, read off the tree.
 
@@ -224,40 +221,29 @@ def cotree_flags(t: Cotree) -> dict[str, bool]:
     chordal, iff every J-node has at most one non-leaf child; threshold iff
     every U-node has too; bipartite iff every J-node has two children, each
     a leaf or an all-leaf U-node; connected iff the root is a J-node or a
-    leaf. It is regular iff all leaves have one degree, complete iff that is
-    n - 1.
+    leaf. It is regular iff the root records a common degree, complete iff
+    that degree is n - 1.
 
-    One walk over the normal form. A node's record holds its leaves, the
-    degree they all have inside its subtree (None if they differ), and its
-    number of internal children.
+    One pass over the nodes of the normal form, in any order, each read with
+    its children and grandchildren.
     """
     t = normalize(t)
     crowded = {JOIN: False, UNION: False}  # kind -> some node has two non-leaf children
     odd_join = False  # some J-node breaks the bipartite rule
-    done: dict[int, tuple] = {}
     for node in _post_order(t):
-        join, size, inner, deep, shifts = node.kind == JOIN, 0, 0, False, set()
-        for c in node.children:
-            c_size, c_deg, c_inner = done.get(id(c), _LEAF_RECORD)
-            size += c_size
-            # the degree inside c's subtree, less c's size under a J-node
-            shifts.add(c_deg - c_size if join and c_deg is not None else c_deg)
-            inner += isinstance(c, Internal)
-            deep |= c_inner > 0
-        crowded[node.kind] |= inner > 1
-        odd_join |= join and (len(node.children) != 2 or deep)
-        shift = shifts.pop() if len(shifts) == 1 else None
-        deg = shift + size if join and shift is not None else shift
-        done[id(node)] = size, deg, inner
-    n, deg, _ = done.get(id(t), _LEAF_RECORD)
+        inner = [c for c in node.children if isinstance(c, Internal)]
+        crowded[node.kind] |= len(inner) > 1
+        odd_join = odd_join or node.kind == JOIN and (
+            len(node.children) != 2 or any(isinstance(x, Internal) for c in inner for x in c.children)
+        )
     qt = not crowded[JOIN]
     return {
         "is_chordal": qt,
         "is_quasi_threshold": qt,
         "is_threshold": qt and not crowded[UNION],
         "is_bipartite": not odd_join,
-        "is_regular": deg is not None,
-        "is_complete": deg == n - 1,
+        "is_regular": t.degree is not None,
+        "is_complete": t.degree == t.n - 1,
         "is_connected": isinstance(t, Leaf) or t.kind == JOIN,
     }
 
@@ -440,10 +426,6 @@ class SatelliteSpec:
     @property
     def p(self) -> int:
         return len(self.satellites)
-
-    @property
-    def total_satellites(self) -> int:
-        return sum(a for a, _ in self.satellites)
 
 
 def parse_generalized_core_satellite(source: Graph | Cotree) -> SatelliteSpec | None:

@@ -305,10 +305,10 @@ def _h_families(specs: list[FamilySpec]) -> Iterator[_Row]:
             yield f"join,c={c},{desc}", desc, "k = 3", f"k = {kj}", kj == 3, abs(kj - 3)
         # the K_1 join is generalized core-satellite iff every component
         # of the instance (the root, or each child of a U root) is
-        # complete: of order k with k(k-1)/2 edges
+        # complete: each of its k vertices has degree k - 1
         sat = parse_generalized_core_satellite(k_c_joins[0])
         parts = t.children if isinstance(t, Internal) and t.kind == UNION else (t,)
-        all_complete = all(b.m == b.n * (b.n - 1) // 2 for b in map(bags, parts))
+        all_complete = all(part.degree == part.n - 1 for part in parts)
         ok = (sat is not None) == all_complete
         yield (
             f"gcs-parse,{desc}",

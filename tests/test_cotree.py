@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from qcograph.cotree import (
     complement_cotree,
     find_p4,
     from_graph,
-    leaf_count,
     normalize,
     parse,
     to_graph,
@@ -88,7 +88,7 @@ class TestParser:
 
     def test_nesting_capped(self):
         t = parse(alternating(MAX_DEPTH))
-        assert leaf_count(t) == MAX_DEPTH + 1
+        assert t.n == MAX_DEPTH + 1
         with pytest.raises(CotreeSyntaxError, match="nested deeper"):
             parse(alternating(MAX_DEPTH + 1))
         with pytest.raises(CotreeSyntaxError, match="nested deeper"):
@@ -206,7 +206,7 @@ class TestFromGraph:
         # 599 nested nodes, deeper than the DSL's MAX_DEPTH: graph input has no depth cap
         g = threshold_chain(600)
         t = from_graph(g)
-        assert leaf_count(t) == 600
+        assert t.n == 600
         assert bags(t).r == 599  # one leaf per node, two under the innermost
         assert to_graph(t) == g
         assert canonical_string(t).count("(") == 599
@@ -347,7 +347,7 @@ class TestBags:
         for expr in ("J(1, U(J(1), J(2)))", "U(2, J(3), J(1, U(2)))"):
             t = parse(expr)
             rep = bags(t)
-            assert sum(bag.t for bag in rep.bags) == leaf_count(t)
+            assert sum(bag.t for bag in rep.bags) == t.n
 
     def test_degrees_match_graph(self):
         for n in range(1, 8):
@@ -384,7 +384,7 @@ class TestInvariants:
         for n in range(1, 7):
             for s in enumerate_cographs(n).strings:
                 t = parse(s)
-                total = leaf_count(t)
+                total = t.n
                 direct = {(bag.members, total - 1 - bag.p) for bag in bags(t).bags}
                 co = {(bag.members, bag.p) for bag in bags(complement_cotree(t)).bags}
                 assert direct == co, s
@@ -552,7 +552,7 @@ def assert_walks_match(t: Cotree) -> None:
     label = repr(t)
     norm = reference_normalize(t)
     assert normalize(t) == norm, label
-    assert leaf_count(t) == reference_leaf_count(t), label
+    assert t.n == reference_leaf_count(t), label
     want = Leaf() if isinstance(norm, Leaf) else reference_canon(norm)[0]
     assert canonicalize(t) == want, label
     assert canonical_string(t) == reference_canonical_string(t), label
@@ -562,7 +562,7 @@ def assert_walks_match(t: Cotree) -> None:
 
 class TestWalksPinned:
     """normalize, canonicalize, canonical_string, complement_cotree,
-    leaf_count and cotree_flags agree with the recursive references."""
+    the leaf count n and cotree_flags agree with the recursive references."""
 
     def test_every_cograph_up_to_10(self):
         count = 0
@@ -654,7 +654,7 @@ class TestNormalFlag:
         assert t.normal and not u.normal
         assert normalize(t) is t
         v = normalize(u)
-        assert v.normal and leaf_count(v) == leaf_count(t) == leaf_count(u) == depth + 1
+        assert v.normal and v.n == t.n == u.n == depth + 1
         want = {
             "is_chordal": True,
             "is_quasi_threshold": True,
@@ -665,3 +665,50 @@ class TestNormalFlag:
             "is_connected": True,
         }
         assert cotree_flags(t) == cotree_flags(u) == cotree_flags(v) == want
+
+
+class TestNodeFacts:
+    """Internal.n and Internal.degree, set at construction, agree with the
+    recursive leaf count and with the degrees of the subtree's graph, on every
+    node, normal or not."""
+
+    @staticmethod
+    def check(t: Cotree) -> None:
+        for node in subtrees(t) or [t]:
+            assert node.n == reference_leaf_count(node), repr(node)
+            degrees = set(reference_to_graph(node).degrees().tolist())
+            assert node.degree == (degrees.pop() if len(degrees) == 1 else None), repr(node)
+
+    def test_parsed_and_recovered_cographs_up_to_10(self):
+        count = 0
+        for n in range(1, 11):
+            for s in enumerate_cographs(n).strings:
+                parsed = parse(s)
+                for t in (parsed, from_graph(to_graph(parsed))):
+                    self.check(t)
+                count += 1
+        assert count == 6965
+
+    def test_random_unnormalized_trees(self):
+        rng = random.Random(11)
+        regular = irregular = 0
+        for _ in range(3000):
+            pool: dict[int, list[Cotree]] = {}
+            t = random_cotree(rng, rng.randint(1, 12), pool)
+            self.check(t)
+            regular += t.degree is not None
+            irregular += t.degree is None
+        assert regular > 100 and irregular > 1000
+
+    def test_repr_hash_and_equality_ignore_the_facts(self):
+        assert (Leaf.n, Leaf.degree) == (1, 0) and repr(Leaf()) == "Leaf()"
+        t, k = parse("J(1,U(2,K(2)))"), parse("U(2*K(3))")
+        assert (t.n, t.degree, k.n, k.degree) == (5, None, 6, 2)
+        assert repr(k) == (
+            "Internal(kind='U', children=(Internal(kind='J', children=(Leaf(), Leaf(), Leaf())), "
+            "Internal(kind='J', children=(Leaf(), Leaf(), Leaf()))))"
+        )
+        assert hash(t) == hash((t.kind, t.children)) and hash(k) == hash((k.kind, k.children))
+        assert k == Internal(UNION, k.children) and k != Internal(JOIN, k.children)
+        derived = [f.name for f in fields(Internal) if not (f.init or f.repr or f.compare or f.hash)]
+        assert derived == ["normal", "n", "degree"]

@@ -33,10 +33,8 @@ class TestEnumerate:
                 assert canonical_string(parse(s)) == s
 
     def test_leaf_counts(self):
-        from qcograph.cotree import leaf_count
-
         for n in range(1, 8):
-            assert all(leaf_count(t) == n for t in enumerate_cotrees(n))
+            assert all(t.n == n for t in enumerate_cotrees(n))
 
     def test_complement_closure(self):
         for n in range(1, 8):

@@ -182,11 +182,11 @@ class TestExpectedMains:
 class TestGrids:
     def test_h1_grid_skips_two_complete_components(self):
         grid = default_grid("H1")
-        assert all(not (s["a"] == 1 and s["p"] == 1) for s in grid)
+        assert all(not (p["a"] == 1 and p["p"] == 1) for p in map(FamilySpec.param_dict, grid))
         assert len(grid) == 5 * 4 * 3 - 4
 
     def test_h4_grid_starts_at_three(self):
-        assert all(s["a"] >= 3 for s in default_grid("H4"))
+        assert all(p["a"] >= 3 for p in map(FamilySpec.param_dict, default_grid("H4")))
 
     def test_h6_grid_matches_documented_size(self):
         assert len(default_grid("H6")) == 24

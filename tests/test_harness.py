@@ -304,6 +304,8 @@ class TestCli:
             (["sweep", "--family", '{"family":"Complete","params":{"n":[1,2]}}'], '{"sweep_cap": [3]}'),
             (["sweep", "--family", '{"family":"H6","params":{"s":[],"p1":1,"p2":1,"p3":1}}'], None),
             (["sweep", "--family", '{"family":"H6","params":{"s":1,"p1":1,"p2":1,"p3":1,"p4":2}}'], None),
+            (["sweep", "--family", '{"family":"Complete","params":{"n":[3]}}'], '{"tol_main": 1e9}'),
+            (["spectrum", "--cotree", "J(3)"], '{"sweep_cap": 5}'),
         ],
     )
     def test_malformed_family_input_is_usage_error(self, tmp_path, capsys, argv, config):
