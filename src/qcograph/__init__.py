@@ -42,7 +42,6 @@ from .spectra import (
     QSpectrumReport,
     q_spectrum,
     q_spectrum_cotree,
-    main_values,
     CondensedMatrix,
     condensed,
     main_eigs_condensed,

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .graph import Graph, neighbourhood_masks, split_components
+from .graph import MAX_EDGE_LIST_N, Graph, neighbourhood_masks, split_components
 
 __all__ = [
     "Leaf",
@@ -344,18 +344,25 @@ def from_graph(g: Graph) -> Cotree:
     NotCograph with the first induced-P4 witness (find_p4) otherwise. The
     cotree may nest to any depth: MAX_DEPTH limits only the DSL.
     """
+    return _from_graph(g)[0]
+
+
+def _from_graph(g: Graph) -> tuple[Cotree, dict[int, int]]:
+    """``from_graph``'s cotree, which shares no node, and each leaf's vertex keyed by id(leaf)."""
     if g.n < 1:
         raise ValueError("from_graph requires at least one vertex")
     nbr = neighbourhood_masks(g.adj)
     full = (1 << g.n) - 1
     co = [full & ~m & ~(1 << v) for v, m in enumerate(nbr)]
     root: list[Cotree | None] = [None]
+    labels: dict[int, int] = {}
     stack = [(full, root, 0)]  # (vertex mask, parent's child slots, slot)
     internals = []  # (kind, child slots, parent's child slots, slot), in pre-order
     while stack:
         verts, slots, i = stack.pop()
         if verts & (verts - 1) == 0:
-            slots[i] = Leaf()
+            slots[i] = leaf = Leaf()
+            labels[id(leaf)] = verts.bit_length() - 1
             continue
         kind, parts = UNION, split_components(nbr, verts)
         if len(parts) == 1:
@@ -369,7 +376,7 @@ def from_graph(g: Graph) -> Cotree:
         stack.extend((parts[j], kids, j) for j in reversed(range(len(parts))))
     for kind, kids, slots, i in reversed(internals):
         slots[i] = Internal(kind, tuple(kids))
-    return root[0]
+    return root[0], labels
 
 
 def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
@@ -432,9 +439,12 @@ def bags(t: Cotree) -> BagRepresentation:
     Bags are ordered by their first vertex in to_graph leaf order. The bags
     under a node are contiguous in that order, so the bag adjacency is the
     same block fill as to_graph's over bag ranges. The one-leaf cotree
-    yields a single J-bag with t=1 and p=0 by convention.
+    yields a single J-bag with t=1 and p=0 by convention. A dense r x r bag
+    adjacency over ``MAX_EDGE_LIST_N`` bags is refused with ValueError.
     """
     ranges, records = _walk(t)
+    if len(records) > MAX_EDGE_LIST_N:
+        raise ValueError(f"r = {len(records)} bags exceeds the limit of {MAX_EDGE_LIST_N} for the dense bag adjacency")
     records.sort(key=lambda rec: rec[0][0])
     firsts = [members[0] for members, _, _ in records]
     blocks = [(bisect_left(firsts, lo), bisect_left(firsts, hi), kind) for lo, hi, kind in ranges]

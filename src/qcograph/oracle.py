@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, bags, complement_cotree, from_graph, normalize
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _walk, complement_cotree, from_graph, normalize
 from .graph import Graph, bipartition, components, induced_subgraph
 from .recognition import NotApplicable, cotree_flags, is_regular, parse_generalized_core_satellite
 from .spectra import q_spectrum_cotree
@@ -230,7 +230,7 @@ def predict_main_count(obj) -> MainCountPrediction:
             if zero_is_q_main(complement_cotree(h)):
                 return MainCountPrediction(k_h, "JoinKcZeroMain", f"{head}; 0 is main in its complement")
             return MainCountPrediction(k_h + 1, "JoinKcZeroNotMain", f"{head}; 0 is not main in its complement")
-    width = bags(t).r
+    width = len(_walk(t)[1])  # bags(t).r without the dense bag adjacency
     return MainCountPrediction(k=width, rule="WidthBoundOnly", premises=f"cotree width {width} (upper bound only)")
 
 

@@ -3,6 +3,7 @@ vertex connectivity, and the universal-clique decomposition."""
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -10,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _post_order, from_graph, normalize, to_graph
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _from_graph, _post_order, from_graph, normalize
 from .graph import Graph, bipartition, components, induced_subgraph
 from .spectra import algebraic_connectivity
 
@@ -25,6 +26,7 @@ __all__ = [
     "is_connected",
     "universal_vertices",
     "ClassificationReport",
+    "FLAGS",
     "cotree_flags",
     "classify",
     "vertex_connectivity",
@@ -167,9 +169,9 @@ Witness = tuple[int, int, int, int]
 class ClassificationReport:
     """Structural flags plus the first forbidden induced subgraph, if any.
 
-    ``witness`` is searched for on its first read, by calling
-    ``search_witness``; two reports are equal iff their flags and witnesses
-    are.
+    ``witness`` is found on its first read, by calling ``search_witness``;
+    two reports are equal iff their flags (``FLAGS``, in field order) and
+    witnesses are.
     """
 
     is_cograph: bool
@@ -188,21 +190,11 @@ class ClassificationReport:
         return self.search_witness()
 
     def to_json_dict(self) -> dict:
-        return {
-            "is_cograph": self.is_cograph,
-            "is_chordal": self.is_chordal,
-            "is_quasi_threshold": self.is_quasi_threshold,
-            "is_threshold": self.is_threshold,
-            "is_bipartite": self.is_bipartite,
-            "is_regular": self.is_regular,
-            "is_complete": self.is_complete,
-            "is_connected": self.is_connected,
-            "witness": list(self.witness) if self.witness else None,
-        }
+        flags = {name: getattr(self, name) for name in FLAGS}
+        return flags | {"witness": list(self.witness) if self.witness else None}
 
     def _key(self) -> tuple:
-        flags = (getattr(self, f.name) for f in fields(self) if f.name != "search_witness")
-        return (*flags, self.witness)
+        return (*(getattr(self, name) for name in FLAGS), self.witness)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassificationReport):
@@ -211,6 +203,9 @@ class ClassificationReport:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+
+FLAGS = tuple(f.name for f in fields(ClassificationReport) if f.name != "search_witness")
 
 
 def cotree_flags(t: Cotree) -> dict[str, bool]:
@@ -248,6 +243,40 @@ def cotree_flags(t: Cotree) -> dict[str, bool]:
     }
 
 
+def _first_quad(t: Internal, quad_kind: str, labels: dict[int, int] | None) -> Witness | None:
+    """The first four leaves of t, as a sorted tuple of labels, that induce
+    C4 (quad_kind J: two non-adjacent pairs under two children of a J-node,
+    a non-adjacent pair being two leaves under two children of a U-node) or
+    2K2 (quad_kind U: the same with the kinds swapped); None if none do.
+
+    A leaf's label is labels[id(leaf)], or else its to_graph position, kept
+    relative to each node's first leaf so that a shared subtree is walked
+    once. Either way a subtree's first leaf has its smallest label and
+    siblings come in that order, so a node's first cross pair is its first
+    two children's first leaves; merging disjoint sorted pairs is monotone
+    in each, so its first cross quad merges its children's two first pairs.
+    """
+    pair_kind = UNION if quad_kind == JOIN else JOIN
+    # id(node) -> (first label, first pair, first quad); a leaf labelled by position is (0, None, None)
+    done = {leaf: (v, None, None) for leaf, v in (labels or {}).items()}
+    for node in _post_order(t):
+        firsts, pairs, quads, offset = [], [], [], 0
+        for c in node.children:
+            shift = offset if labels is None else 0
+            first, pair, quad = done.get(id(c), (0, None, None))
+            firsts.append(first + shift)
+            pairs += [tuple(x + shift for x in pair)] if pair else []
+            quads += [tuple(x + shift for x in quad)] if quad else []
+            offset += c.n
+        if node.kind == pair_kind:
+            pairs.append((firsts[0], firsts[1]))
+        elif len(pairs) > 1:
+            p, q = heapq.nsmallest(2, pairs)
+            quads.append(tuple(sorted(p + q)))
+        done[id(node)] = firsts[0], min(pairs, default=None), min(quads, default=None)
+    return done[id(t)][2]
+
+
 def classify(source: Graph | Cotree) -> ClassificationReport:
     """All structural flags of a graph, or of the cograph of a cotree, at once.
 
@@ -258,26 +287,25 @@ def classify(source: Graph | Cotree) -> ClassificationReport:
 
     The witness is the first forbidden pattern ruled on: the induced P4 of a
     non-cograph, else the first C4 of a non-chordal graph, else the first
-    2K2 of a non-threshold one, else None. For a cograph it is searched for
-    by ``find_induced`` only when ``report.witness`` is first read, on the
-    graph given, or on ``to_graph(t)`` for a cotree.
+    2K2 of a non-threshold one, else None, first as in ``find_induced``. For
+    a cograph one walk of the same cotree finds it, when ``report.witness``
+    is first read; no graph is built.
     """
     if isinstance(source, Graph):
         if source.n < 1:
             raise ValueError("classification needs at least one vertex")
         try:
-            t = from_graph(source)
+            t, labels = _from_graph(source)
         except NotCograph as exc:
             return _classify_dense(source, exc.witness)
     else:
-        t = source
+        t, labels = normalize(source), None
     flags = cotree_flags(t)
 
     def search_witness() -> Witness | None:
         if flags["is_threshold"]:
             return None
-        g = source if isinstance(source, Graph) else to_graph(source)
-        return find_induced(g, "C4" if not flags["is_chordal"] else "2K2")
+        return _first_quad(t, JOIN if not flags["is_chordal"] else UNION, labels)
 
     return ClassificationReport(is_cograph=True, **flags, search_witness=search_witness)
 

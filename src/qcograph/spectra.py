@@ -29,7 +29,6 @@ __all__ = [
     "default_tol_main",
     "q_spectrum",
     "q_spectrum_cotree",
-    "main_values",
     "CondensedMatrix",
     "condensed",
     "main_eigs_condensed",
@@ -286,11 +285,6 @@ def q_spectrum_cotree(
     vectors = np.hstack([dec.vectors, np.zeros((b.r, len(twins)))])
     order = np.argsort(values, kind="stable")
     return _report(n, values[order], vectors[:, order], c.weights, tol_group, tol_main, "cotree")
-
-
-def main_values(g: Graph) -> list[float]:
-    """Main signless Laplacian eigenvalues, descending, at default tolerances."""
-    return q_spectrum(g).main_values()
 
 
 @dataclass(frozen=True)

@@ -7,23 +7,12 @@ from itertools import product
 
 from .cotree import bags
 from .families import FAMILY_PARAMS, FamilySpec, build_cotree
-from .recognition import classify
+from .recognition import FLAGS, classify
 from .spectra import q_spectrum_cotree
 
 __all__ = ["SWEEP_CAP", "sweep", "sweep_to_csv"]
 
 SWEEP_CAP = 10000
-
-_FLAGS = (
-    "is_cograph",
-    "is_chordal",
-    "is_quasi_threshold",
-    "is_threshold",
-    "is_bipartite",
-    "is_regular",
-    "is_complete",
-    "is_connected",
-)
 
 
 def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str]]]:
@@ -64,7 +53,7 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
     if points > cap:
         raise ValueError(f"sweep has {points} points, exceeding the cap of {cap}")
 
-    header = [*names, "n", "m", "r", "main_count", "mains", *_FLAGS, "runtime_ms"]
+    header = [*names, "n", "m", "r", "main_count", "mains", *FLAGS, "runtime_ms"]
     rows: list[list[str]] = []
     for values in product(*axes):
         start = time.perf_counter()
@@ -77,7 +66,7 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
         row = [str(v) for _, v in spec.params]
         row += [str(b.n), str(b.m), str(b.r), str(rep.main_count)]
         row.append(";".join(format(v, ".17g") for v in rep.main_values()))
-        row += [str(getattr(report, flag)).lower() for flag in _FLAGS]
+        row += [str(getattr(report, flag)).lower() for flag in FLAGS]
         row.append(format(ms, ".17g"))
         rows.append(row)
     return header, rows

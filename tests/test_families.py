@@ -16,7 +16,7 @@ from qcograph.families import (
 from qcograph.graph import MAX_EDGE_LIST_N, Graph
 from qcograph.oracle import predict_main_count
 from qcograph.recognition import classify
-from qcograph.spectra import main_values, q_spectrum
+from qcograph.spectra import q_spectrum
 
 # one instance per family: its canonical cotree string
 GOLDEN = [
@@ -152,13 +152,13 @@ class TestExpectedMains:
         spec = FamilySpec.make("H4", a=2, p1=1, p2=2)
         assert expected_mains(spec) == [2.0]
         _, g = build(spec)
-        assert main_values(g) == pytest.approx([2.0])
+        assert q_spectrum(g).main_values() == pytest.approx([2.0])
 
     def test_h5_a2_still_two_mains(self):
         spec = FamilySpec.make("H5", a=2, p1=1, p2=1, p3=2)
         assert expected_mains(spec) == [2.0, 0.0]
         _, g = build(spec)
-        assert main_values(g) == pytest.approx([2.0, 0.0])
+        assert q_spectrum(g).main_values() == pytest.approx([2.0, 0.0])
 
     def test_no_closed_form_cases(self):
         assert expected_mains(FamilySpec.make("GeneralizedCoreSatellite", n0=1, satellites=[(2, 3)])) is None
@@ -204,7 +204,7 @@ class TestGrids:
             spec = grid[len(grid) // 2]
             want = expected_mains(spec)
             _, g = build(spec)
-            got = main_values(g)
+            got = q_spectrum(g).main_values()
             assert got == pytest.approx(want, abs=1e-7), spec
 
     def test_core_satellite_builds_connected_quasi_threshold(self):

@@ -416,6 +416,21 @@ class TestBadEdgeLists:
         assert err.startswith("error:") and str(MAX_EDGE_LIST_N) in err
 
 
+class TestWideCotrees:
+    WIDE = "U(100000*J(2))"  # 100,000 bags
+
+    @pytest.mark.parametrize("command", ["spectrum", "condensed"])
+    def test_dense_bag_routes_refuse(self, capsys, command):
+        assert main([command, "--cotree", self.WIDE]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "100000" in err and str(MAX_EDGE_LIST_N) in err
+        assert err.count("\n") == 1
+
+    def test_classify_answers(self, capsys):
+        assert main(["classify", "--cotree", self.WIDE, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"] == [0, 1, 2, 3]
+
+
 class TestDeepCotrees:
     def test_too_deep_is_usage_error(self, capsys):
         for command in ("spectrum", "classify", "condensed"):

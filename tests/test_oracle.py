@@ -23,7 +23,7 @@ from qcograph.oracle import (
     zero_is_q_main,
 )
 from qcograph.recognition import NotApplicable
-from qcograph.spectra import main_values, q_spectrum
+from qcograph.spectra import q_spectrum
 
 
 def graph_of(expr):
@@ -116,7 +116,7 @@ class TestMainsClosedForms:
         for c, a, b in [(1, 1, 2), (2, 1, 3), (3, 2, 4), (1, 3, 2)]:
             (q1, q2), _, _ = mains_core_union(c, a, b)
             g = graph_of(f"J({c}, U(J({a}), J({b})))")
-            assert main_values(g) == pytest.approx([q1, q2], abs=1e-8)
+            assert q_spectrum(g).main_values() == pytest.approx([q1, q2], abs=1e-8)
 
 
 class TestPredictMainCount:

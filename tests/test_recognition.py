@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from qcograph.recognition import (
     universal_clique_decomposition,
     vertex_connectivity,
 )
+from test_cotree import random_cotree
 
 
 def graph_of(expr):
@@ -202,20 +204,26 @@ class TestCotreeFlags:
 
     def test_witness_searched_only_when_read(self, monkeypatch):
         calls = []
-        search = recognition.find_induced
+        walk = recognition._first_quad
 
-        def counting(g, pattern):
-            calls.append(pattern)
-            return search(g, pattern)
+        def counting(t, quad_kind, labels):
+            calls.append(quad_kind)
+            return walk(t, quad_kind, labels)
 
-        monkeypatch.setattr(recognition, "find_induced", counting)
+        def dense_scan(g, pattern):
+            raise AssertionError(f"dense {pattern} scan on a cograph")
+
+        monkeypatch.setattr(recognition, "_first_quad", counting)
+        monkeypatch.setattr(recognition, "find_induced", dense_scan)
         g = graph_of("J(1, U(J(2), J(3)))")  # quasi-threshold, not threshold
-        rep = classify(g)
-        assert rep.is_quasi_threshold and not rep.is_threshold
-        assert calls == []
-        assert rep.witness == search(g, "2K2") == (1, 2, 3, 4)
-        assert rep.witness == (1, 2, 3, 4)
-        assert calls == ["2K2"]
+        for source in (g, parse("J(1, U(J(2), J(3)))")):
+            rep = classify(source)
+            assert rep.is_quasi_threshold and not rep.is_threshold
+            assert calls == []
+            assert rep.witness == find_induced(g, "2K2") == (1, 2, 3, 4)
+            assert rep.witness == (1, 2, 3, 4)
+            assert calls == [UNION]
+            calls.clear()
 
     def test_cotree_input_equals_graph_input(self):
         for n in range(1, 9):
@@ -232,6 +240,53 @@ class TestCotreeFlags:
         assert a.witness == (0, 1, 2, 3) and b.witness == (1, 2, 3, 4) and a != b
         with pytest.raises(AttributeError):
             c4.is_chordal = True
+
+
+def ruled_pattern(g, rep):
+    """The first C4 of a non-chordal cograph, else its first 2K2, by the dense scan.
+
+    The flags that pick the pattern are checked against the dense
+    definitions by TestCotreeFlags."""
+    if rep.is_threshold:
+        return None
+    return find_induced(g, "C4" if not rep.is_chordal else "2K2")
+
+
+class TestCotreeWitness:
+    """The witness of a cograph, read off its cotree, is the dense scan's."""
+
+    def test_every_cograph_to_ten_from_cotree_and_relabelled_graph(self):
+        rng = random.Random(41)
+        count = 0
+        for n in range(1, 11):
+            for s in enumerate_cographs(n).strings:
+                t = parse(s)
+                g = to_graph(t)
+                perm = rng.sample(range(n), n)
+                h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                for source, graph in ((t, g), (h, h)):
+                    rep = classify(source)
+                    assert rep.witness == ruled_pattern(graph, rep), (s, perm)
+                count += 1
+        assert count == 6965
+
+    def test_random_unnormalized_trees(self):
+        rng = random.Random(43)
+        for _ in range(3000):
+            t = random_cotree(rng, rng.randint(1, 12), {})
+            g = to_graph(t)
+            rep = classify(t)
+            assert rep.witness == ruled_pattern(g, rep), repr(t)
+            assert classify(g).witness == rep.witness, repr(t)
+
+    def test_wide_cographs_answer_fast(self):
+        start = time.process_time()
+        # vertex 0 is universal and lies in no 2K2, which the dense scan tries first
+        assert classify(parse("J(1,U(2*K(750)))")).witness == (1, 2, 751, 752)
+        assert time.process_time() - start < 1.0
+        # 4 * 10^9 vertices, one visit per distinct node
+        assert classify(parse("U(2*J(1000*U(1000*J(1000*U(2)))))")).witness == (0, 1, 2, 3)
+        assert classify(parse("U(1,J(1000*U(1000*K(1000))))")).witness == (1, 1001, 1000001, 1001001)
 
 
 def kappa_brute_force(g):
