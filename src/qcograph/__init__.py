@@ -42,6 +42,7 @@ from .spectra import (
     QSpectrumReport,
     q_spectrum,
     q_spectrum_cotree,
+    main_count_exact,
     CondensedMatrix,
     condensed,
     main_eigs_condensed,

@@ -121,13 +121,23 @@ def _post_order(t: Cotree) -> list[Internal]:
 def _normal_step(kind: str, kids: list[Cotree]) -> Cotree:
     """The normal form of a node of this kind over children in normal form:
     same-kind children merged in, and a lone child in place of the node."""
-    flat: list[Cotree] = []
-    for c in kids:
-        if isinstance(c, Internal) and c.kind == kind:
-            flat += c.children
-        else:
-            flat.append(c)
+    flat = _merged_children(kind, kids)
     return flat[0] if len(flat) == 1 else Internal(kind, tuple(flat))
+
+
+def _merged_children(kind: str, children) -> list[Cotree]:
+    """The children of the normal form of a node of this kind over these
+    children, each still to be normalized: the children, read left to right
+    through every node of the same kind and every lone-child node, which the
+    normal form merges into the node."""
+    kids, stack = [], list(reversed(children))
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Internal) and (c.kind == kind or len(c.children) == 1):
+            stack += reversed(c.children)
+        else:
+            kids.append(c)
+    return kids
 
 
 def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
@@ -281,20 +291,30 @@ def parse(text: str) -> Cotree:
     return tree
 
 
-def _relabelled(t: Cotree, kinds: dict[str, str]) -> Cotree:
-    """The normal form of t with each node's kind mapped through kinds, in one walk."""
-    done: dict[int, Cotree] = {}
-    for node in _post_order(t):
-        done[id(node)] = _normal_step(kinds[node.kind], [done.get(id(c), c) for c in node.children])
-    return done.get(id(t), t)
-
-
 def normalize(t: Cotree) -> Cotree:
     """Collapse same-kind parent/child chains and elide single-child internals;
-    a leaf or a normal tree is returned as it is."""
+    a leaf or a normal tree is returned as it is.
+
+    The nodes that head a node of the normal form are read top-down, each
+    collecting its final children once, so a same-kind chain costs its
+    length and each result node is built once, bottom-up. A normal subtree
+    is its own normal form and is kept as it is.
+    """
+    while isinstance(t, Internal) and len(t.children) == 1:
+        t = t.children[0]
     if isinstance(t, Leaf) or t.normal:
         return t
-    return _relabelled(t, {UNION: UNION, JOIN: JOIN})
+    order = _post_order(t)
+    kids = {id(t): _merged_children(t.kind, t.children)}
+    for node in reversed(order):  # parents first
+        for c in kids.get(id(node), ()):
+            if isinstance(c, Internal) and not c.normal and id(c) not in kids:
+                kids[id(c)] = _merged_children(c.kind, c.children)
+    done: dict[int, Internal] = {}
+    for node in order:
+        if id(node) in kids:
+            done[id(node)] = Internal(node.kind, tuple(done.get(id(c), c) for c in kids[id(node)]))
+    return done[id(t)]
 
 
 _LEAF = (1, "J(1)", Leaf())
@@ -387,11 +407,16 @@ def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
 
 
 def complement_cotree(t: Cotree) -> Cotree:
-    """Cotree of the complement graph: every U/J label swapped, in normal form.
+    """Cotree of the complement graph: every U/J label of the normal form swapped.
 
-    Swapping the labels of a normal form keeps it normal, so one walk does both.
+    Swapping the labels of a normal form keeps it normal.
     """
-    return _relabelled(t, {UNION: JOIN, JOIN: UNION})
+    t = normalize(t)
+    swap = {UNION: JOIN, JOIN: UNION}
+    done: dict[int, Internal] = {}
+    for node in _post_order(t):
+        done[id(node)] = Internal(swap[node.kind], tuple(done.get(id(c), c) for c in node.children))
+    return done.get(id(t), t)
 
 
 # ---------------------------------------------------------------------------

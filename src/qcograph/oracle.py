@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _walk, complement_cotree, from_graph, normalize
 from .graph import Graph, bipartition, components, induced_subgraph
 from .recognition import NotApplicable, cotree_flags, is_regular, parse_generalized_core_satellite
-from .spectra import q_spectrum_cotree
+from .spectra import main_count_exact
 
 __all__ = [
     "quadratic_roots",
@@ -191,7 +191,8 @@ def predict_main_count(obj) -> MainCountPrediction:
     1. regular graphs (complete included) have exactly one main eigenvalue;
     2-4. generalized core-satellite shapes by satellite pattern;
     5. the universal vertices are the leaf children of a J root: if the
-       remainder h (its other children) has k' >= 2 mains the join adds one
+       remainder h (its other children) has k' >= 2 mains (counted exactly by
+       ``main_count_exact``) the join adds one
        iff 0 is not a main eigenvalue of complement(h) (see zero_is_q_main);
        "adds one iff complement(h) is non-bipartite" is exact only when
        complement(h) is connected;
@@ -224,7 +225,7 @@ def predict_main_count(obj) -> MainCountPrediction:
     rest = [c for c in t.children if isinstance(c, Internal)] if t.kind == JOIN else []
     if 0 < len(rest) < len(t.children):
         h = rest[0] if len(rest) == 1 else Internal(JOIN, tuple(rest))
-        k_h = q_spectrum_cotree(h).main_count
+        k_h = main_count_exact(h)
         if k_h >= 2:
             head = f"K_{len(t.children) - len(rest)} joined to a remainder with {k_h} mains"
             if zero_is_q_main(complement_cotree(h)):

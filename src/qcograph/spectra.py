@@ -4,6 +4,8 @@ An eigenvalue is *main* when its eigenspace is non-orthogonal to the all-ones
 vector. Main flags are decided per eigenvalue group (not per solver vector):
 a group is main iff the projection of the all-ones vector onto its eigenspace
 has norm above tolerance, which is independent of the basis the solver picks.
+``main_count_exact`` counts the main eigenvalues of a cotree with no
+eigensolve and no tolerance, on the integer bag quotient.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -29,6 +32,7 @@ __all__ = [
     "default_tol_main",
     "q_spectrum",
     "q_spectrum_cotree",
+    "main_count_exact",
     "CondensedMatrix",
     "condensed",
     "main_eigs_condensed",
@@ -285,6 +289,40 @@ def q_spectrum_cotree(
     vectors = np.hstack([dec.vectors, np.zeros((b.r, len(twins)))])
     order = np.argsort(values, kind="stable")
     return _report(n, values[order], vectors[:, order], c.weights, tol_group, tol_main, "cotree")
+
+
+def main_count_exact(t: Cotree | BagRepresentation) -> int:
+    """The number of main Q-eigenvalues of the graph of t, exactly, with no
+    tolerance and no eigensolve (t may also be ``bags(t)`` itself).
+
+    The bags are an equitable partition, so Q^k 1 is constant on each bag,
+    with bag vector B^k 1 for the r x r integer quotient B: diagonal
+    p + t - 1 on a J-bag and p on a U-bag, entry (i, j) t_j when bags i and
+    j are adjacent. The main count is the rank of the walk vectors
+    1, Q1, Q^2 1, ..., hence of 1, B1, B^2 1, .... Each new vector is B
+    times the last reduced one (which differs from the last walk vector by
+    earlier ones), eliminated over Python ints against an echelon basis and
+    divided by its gcd; the count is the basis size at the first zero.
+    """
+    b = t if isinstance(t, BagRepresentation) else bags(t)
+    sizes = [bag.t for bag in b.bags]
+    diag = [bag.p + bag.t - 1 if bag.kind == JOIN else bag.p for bag in b.bags]
+    adjacency = b.z.tolist()
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row): zero at every earlier pivot
+    v = [1] * b.r
+    while True:
+        for pivot, row in basis:
+            if v[pivot]:
+                g = math.gcd(row[pivot], v[pivot])
+                a, c = row[pivot] // g, v[pivot] // g
+                v = [a * x - c * y for x, y in zip(v, row)]
+        g = math.gcd(*v)
+        if g == 0:
+            return len(basis)
+        v = [x // g for x in v]
+        basis.append((next(i for i, x in enumerate(v) if x), v))
+        weighted = [size * x for size, x in zip(sizes, v)]
+        v = [d * x + sum(compress(weighted, adjacent)) for d, x, adjacent in zip(diag, v, adjacency)]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .recognition import (
     is_connected,
     parse_generalized_core_satellite,
 )
-from .spectra import q_spectrum, q_spectrum_cotree
+from .spectra import main_count_exact, q_spectrum, q_spectrum_cotree
 
 __all__ = ["VerificationCase", "THEOREM_IDS", "run_verify", "cases_to_csv"]
 
@@ -167,7 +167,7 @@ def _gcs_count(specs: list[FamilySpec]) -> Iterator[_Row]:
     for spec in specs:
         t = build_cotree(spec)
         pred = predict_main_count(t)
-        k = q_spectrum_cotree(t).main_count
+        k = main_count_exact(t)
         desc = str(spec.to_json_dict())
         yield desc, desc, f"k = {pred.k} ({pred.rule})", f"k = {k}", k == pred.k, abs(k - pred.k)
 
@@ -301,7 +301,7 @@ def _h_families(specs: list[FamilySpec]) -> Iterator[_Row]:
             continue  # join law below presumes two mains (grids ensure it)
         k_c_joins = [Internal(JOIN, (Leaf(),) * c + (t,)) for c in (1, 2, 3)]
         for c, k_c_join in enumerate(k_c_joins, start=1):
-            kj = q_spectrum_cotree(k_c_join).main_count
+            kj = main_count_exact(k_c_join)
             yield f"join,c={c},{desc}", desc, "k = 3", f"k = {kj}", kj == 3, abs(kj - 3)
         # the K_1 join is generalized core-satellite iff every component
         # of the instance (the root, or each child of a U root) is

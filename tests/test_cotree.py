@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -665,6 +666,21 @@ class TestNormalFlag:
             "is_connected": True,
         }
         assert cotree_flags(t) == cotree_flags(u) == cotree_flags(v) == want
+
+    def test_same_kind_chain_is_linear(self):
+        # each level of J(1, J(1, ...)) merges into the root: the normal form
+        # is one J-node over every leaf, built once
+        t: Cotree = Leaf()
+        for _ in range(3000):
+            t = Internal(JOIN, (Leaf(), t))
+        start = time.perf_counter()
+        flags = cotree_flags(t)
+        norm = normalize(t)
+        co = complement_cotree(t)
+        elapsed = time.perf_counter() - start
+        assert norm == Internal(JOIN, (Leaf(),) * 3001) and co == Internal(UNION, (Leaf(),) * 3001)
+        assert flags["is_complete"] and flags["is_regular"]
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 class TestNodeFacts:

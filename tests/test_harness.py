@@ -407,6 +407,22 @@ class TestFamilySizeCap:
         assert "h-families: 5/5 cases pass" in capsys.readouterr().out
 
 
+class TestExactMainCounts:
+    """Suites whose computed side is only a main count read it exactly, so a
+    main eigenvalue whose projection norm the float route puts below tol_main
+    still counts (both specs have three mains; the float route reads two)."""
+
+    def test_h_families_join_of_a_large_clique_part(self, capsys):
+        grid = '{"families":{"H1":[{"a":2,"b":4095,"p":1}]}}'
+        assert main(["verify", "--theorem", "h-families", "--grid", grid]) == 0
+        assert "h-families: 5/5 cases pass" in capsys.readouterr().out
+
+    def test_gcs_count_of_a_large_core(self, capsys):
+        spec = {"family": "GeneralizedCoreSatellite", "params": {"n0": 100000, "satellites": [[3, 5], [2, 7]]}}
+        assert main(["verify", "--theorem", "gcs-count", "--grid", json.dumps({"specs": [spec]})]) == 0
+        assert "gcs-count: 1/1 cases pass" in capsys.readouterr().out
+
+
 class TestBadEdgeLists:
     def test_order_above_cap_is_usage_error(self, tmp_path, capsys):
         edges = tmp_path / "big.edges"

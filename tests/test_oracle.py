@@ -23,7 +23,7 @@ from qcograph.oracle import (
     zero_is_q_main,
 )
 from qcograph.recognition import NotApplicable
-from qcograph.spectra import q_spectrum
+from qcograph.spectra import main_count_exact, q_spectrum
 
 
 def graph_of(expr):
@@ -193,7 +193,8 @@ class TestPredictMainCount:
 
     def test_exact_predictions_match_spectrum(self, spectral_table):
         # every prediction called exact, and the zero-main predicate behind the
-        # join rule, agree with the spectrum over the n <= 9 enumeration
+        # join rule, agree with the spectrum over the n <= 9 enumeration, and
+        # every exact prediction with the exact main count over n <= 10
         table, _ = spectral_table
         wrong = []
         exact = 0
@@ -206,7 +207,16 @@ class TestPredictMainCount:
             zero_main = any(abs(grp.value) <= entry.report.tol_group and grp.main for grp in entry.report.groups)
             if zero_is_q_main(entry.graph) != zero_main:
                 wrong.append(f"{s}: zero_is_q_main {not zero_main}, spectrum {zero_main}")
-        assert exact > 0 and not wrong, wrong[:5]
+        counted = 0
+        for n in range(1, 11):
+            for s in enumerate_cographs(n).strings:
+                t = parse(s)
+                pred = predict_main_count(t)
+                if pred.exact:
+                    counted += 1
+                    if pred.k != main_count_exact(t):
+                        wrong.append(f"{s}: {pred.rule} predicts {pred.k}, exact count {main_count_exact(t)}")
+        assert exact > 0 and counted > exact and not wrong, wrong[:5]
 
     def test_prediction_serializes(self):
         pred = predict_main_count(Graph.complete(3))

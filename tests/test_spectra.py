@@ -16,6 +16,7 @@ from qcograph.spectra import (
     dumps_17g,
     jacobi_eigh,
     laplacian,
+    main_count_exact,
     main_eigs_condensed,
     q_spectrum,
     q_spectrum_cotree,
@@ -332,6 +333,47 @@ class TestCotreeRoute:
         rep = q_spectrum_cotree(parse("J(2,U(3))"))
         twins = {(grp.value, grp.multiplicity, grp.projection_norm) for grp in rep.groups if not grp.main}
         assert twins == {(3.0, 1, 0.0), (2.0, 2, 0.0)}
+
+
+class TestMainCountExact:
+    """The Krylov rank of the integer bag quotient counts the mains that the
+    float routes flag, and keeps counting where their tolerance drops one."""
+
+    def test_matches_cotree_route_up_to_10(self):
+        count = 0
+        for n in range(1, 11):
+            for s in enumerate_cographs(n).strings:
+                t = parse(s)
+                assert main_count_exact(t) == q_spectrum_cotree(t).main_count, s
+                count += 1
+        assert count == 6965
+
+    def test_matches_dense_route(self, spectral_table):
+        table, _ = spectral_table
+        for s, entry in table.items():
+            assert main_count_exact(parse(s)) == entry.report.main_count, s
+
+    def test_matches_cotree_route_on_default_grids_and_kc_joins(self):
+        for specs in default_grids().values():
+            for spec in specs:
+                t, _ = build(spec)
+                label = str(spec.to_json_dict())
+                assert main_count_exact(t) == q_spectrum_cotree(t).main_count, label
+                for c in (1, 2, 3):
+                    joined = Internal(JOIN, (Leaf(),) * c + (t,))
+                    assert main_count_exact(joined) == q_spectrum_cotree(joined).main_count, (c, label)
+
+    @pytest.mark.parametrize("b", [500, 4095])
+    def test_counts_a_main_below_the_float_tolerance(self, b):
+        # K_1 joined to E_2 and K_b: the main value near b + 1 projects below tol_main
+        t = parse(f"J(1,U(E(2),K({b})))")
+        assert main_count_exact(t) == 3
+
+    def test_bags_input_and_leaf(self):
+        for s in ("J(1,U(2,K(3)))", "U(2*K(3))", "J(E(2),E(3))", "U(1,J(2))"):
+            t = parse(s)
+            assert main_count_exact(bags(t)) == main_count_exact(t), s
+        assert main_count_exact(Leaf()) == main_count_exact(bags(Leaf())) == 1
 
 
 class TestToleranceValidation:
