@@ -11,6 +11,7 @@ normal tree, and then reads ``node.children`` and these facts directly.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -140,14 +141,18 @@ def _merged_children(kind: str, children) -> list[Cotree]:
     return kids
 
 
-def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
+def _walk(
+    t: Cotree, max_bags: float = math.inf
+) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
     """Walk the normal form of a cotree with an explicit stack, parents before children.
 
     Leaves are numbered in DFS order. Returns the (lo, hi, kind) leaf range
     of every internal node, parents first, and per bag (the leaf children of
     one node, or a lone leaf as a J-bag) its (members, parent kind, degree).
     The degree is t - 1 under a J-parent plus, for each join ancestor A, the
-    leaves of A outside A's child on the path.
+    leaves of A outside A's child on the path. A tree of more than max_bags
+    bags is refused with ValueError as soon as the walk passes max_bags, so
+    a wide tree of shared subtrees is not walked out in full.
     """
     t = normalize(t)
     ranges: list[tuple[int, int, str]] = []
@@ -168,7 +173,20 @@ def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, 
             lo += c.n
         if members:
             records.append((tuple(members), node.kind, acc + total - 1 if join else acc))
+            if len(records) > max_bags:
+                raise ValueError(
+                    f"r = {_bag_count(t)} bags exceeds the limit of {max_bags} for the dense bag adjacency"
+                )
     return ranges, records
+
+
+def _bag_count(t: Internal) -> int:
+    """The number of bags of a normal tree, counted bottom-up over its distinct nodes."""
+    count: dict[int, int] = {}
+    for node in _post_order(t):
+        kids = node.children
+        count[id(node)] = any(isinstance(c, Leaf) for c in kids) + sum(count.get(id(c), 0) for c in kids)
+    return count[id(t)]
 
 
 def _block_fill(size: int, blocks) -> np.ndarray:
@@ -467,9 +485,7 @@ def bags(t: Cotree) -> BagRepresentation:
     yields a single J-bag with t=1 and p=0 by convention. A dense r x r bag
     adjacency over ``MAX_EDGE_LIST_N`` bags is refused with ValueError.
     """
-    ranges, records = _walk(t)
-    if len(records) > MAX_EDGE_LIST_N:
-        raise ValueError(f"r = {len(records)} bags exceeds the limit of {MAX_EDGE_LIST_N} for the dense bag adjacency")
+    ranges, records = _walk(t, MAX_EDGE_LIST_N)
     records.sort(key=lambda rec: rec[0][0])
     firsts = [members[0] for members, _, _ in records]
     blocks = [(bisect_left(firsts, lo), bisect_left(firsts, hi), kind) for lo, hi, kind in ranges]

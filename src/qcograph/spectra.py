@@ -68,16 +68,21 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     n = a.shape[0]
     if n == 0 or a.shape != (n, n):
         raise ValueError(f"need a non-empty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("need a finite matrix, got a NaN or infinite entry")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         raise ValueError("need an exactly symmetric matrix")
     av = np.vstack([a, np.eye(n)])  # A over V: one matmul per rotation turns both
     a, v = av[:n], av[n:]
-    norm = float(np.linalg.norm(a))
+    # the diagonal as Python floats: a rotation changes only a[p, p] and
+    # a[q, q], and writes both from here
+    diag = a.diagonal().tolist()
+    norm = _norm(a)
     if norm == 0.0 or n == 1:
-        return _sorted_decomposition(np.diag(a).copy(), v)
+        return _sorted_decomposition(diag, v)
     rot = np.empty((2, 2))
+    cols = np.empty((2 * n, 2))  # rotated columns p and q of A over V
+    rows = cols.T[:, :n]  # rows p and q of A: off the 2x2 block they equal the rotated columns
     tol = _CONVERGENCE * norm
     # if every rotation in a sweep falls below this, the off-diagonal norm
     # is already below tol, so skipping them cannot stall convergence
@@ -85,15 +90,15 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     for _ in range(_MAX_SWEEPS):
         off = a.flatten()
         off[:: n + 1] = 0.0  # the diagonal
-        if float(np.linalg.norm(off)) <= tol:
-            return _sorted_decomposition(np.diag(a).copy(), v)
+        if _norm(off) <= tol:
+            return _sorted_decomposition(diag, v)
         for p in range(n - 1):
+            app = diag[p]
             for q in range(p + 1, n):
                 apq = a.item(p, q)
                 if abs(apq) <= skip:
                     continue
-                app = a.item(p, p)
-                aqq = a.item(q, q)
+                aqq = diag[q]
                 tau = (aqq - app) / (2.0 * apq)
                 t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
@@ -101,18 +106,26 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
                 rot[0, 0] = rot[1, 1] = c
                 rot[0, 1] = s
                 rot[1, 0] = -s
-                pq = slice(p, q + 1, q - p)  # columns p and q as one view
-                # off the 2x2 block a rotated row equals the rotated column
-                cols = av[:, pq] @ rot
-                av[:, pq] = cols
-                a[pq, :] = cols[:n].T
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
+                pq = slice(p, q + 1, q - p)
+                both = av[:, pq]  # columns p and q of A over V as one view
+                np.matmul(both, rot, cols)  # out=cols: the product both @ rot, written in place
+                both[...] = cols
+                a[pq, :] = rows
+                app, aqq = app - t * apq, aqq + t * apq
+                diag[p] = a[p, p] = app
+                diag[q] = a[q, q] = aqq
                 a[p, q] = a[q, p] = 0.0
     raise SolverError(f"Jacobi sweep cap ({_MAX_SWEEPS}) exceeded for order {n}")
 
 
-def _sorted_decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of x raveled, as np.linalg.norm computes it, without its dispatch."""
+    x = x.ravel()
+    return math.sqrt(x.dot(x))
+
+
+def _sorted_decomposition(values: list[float], vectors: np.ndarray) -> EigenDecomposition:
+    values = np.array(values)
     order = np.argsort(values, kind="stable")
     return EigenDecomposition(values=values[order], vectors=vectors[:, order])
 
@@ -135,8 +148,14 @@ def laplacian(g: Graph) -> np.ndarray:
 
 def default_tol_group(matrix: np.ndarray) -> float:
     """Grouping tolerance, scaled by the matrix's infinity norm for large inputs."""
-    scale = float(np.max(np.sum(np.abs(matrix), axis=1))) if matrix.size else 0.0
+    scale = float(np.abs(matrix).sum(axis=1).max()) if matrix.size else 0.0
     return 1e-7 * max(1.0, scale)
+
+
+def _q_tol_group(max_degree: float) -> float:
+    """default_tol_group of a Q whose largest degree is max_degree: each row of
+    Q is non-negative and sums to twice its vertex's degree, exactly."""
+    return 1e-7 * max(1.0, float(2 * max_degree))
 
 
 def default_tol_main(n: int) -> float:
@@ -182,7 +201,7 @@ class QSpectrumReport:
         }
 
 
-def _group_indices(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+def _group_indices(values: list[float], tol: float) -> list[tuple[int, int]]:
     """Half-open index ranges for eigenvalue groups split at gaps above tol."""
     spans = []
     start = 0
@@ -201,17 +220,18 @@ def _grouped(
 
     Column i of vectors is the eigenvector of values[i] in coordinates where
     the all-ones vector is weights; a group is main iff the projection of
-    weights onto the group's columns has norm above tol_main.
+    weights onto the group's columns has norm above tol_main. A group's value
+    is its mean, summed as np.mean sums.
     """
     for name, tol in (("tol_group", tol_group), ("tol_main", tol_main)):
         if not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
     groups = []
-    for start, stop in _group_indices(values, tol_group):
-        norm = float(np.linalg.norm(vectors[:, start:stop].T @ weights))
+    for start, stop in _group_indices(values.tolist(), tol_group):
+        norm = _norm(vectors[:, start:stop].T @ weights)
         groups.append(
             SpectrumGroup(
-                value=float(np.mean(values[start:stop])),
+                value=float(values[start:stop].sum() / (stop - start)),
                 multiplicity=stop - start,
                 main=norm > tol_main,
                 projection_norm=norm,
@@ -254,7 +274,7 @@ def q_spectrum(
     """
     q = signless_laplacian(g)
     if tol_group is None:
-        tol_group = default_tol_group(q)
+        tol_group = _q_tol_group(q.diagonal().max())
     if tol_main is None:
         tol_main = default_tol_main(g.n)
     dec = jacobi_eigh(q)
@@ -279,7 +299,7 @@ def q_spectrum_cotree(
     c = condensed(b)
     n = b.n
     if tol_group is None:
-        tol_group = 1e-7 * max(1.0, float(2 * max(bag.p for bag in b.bags)))
+        tol_group = _q_tol_group(max(bag.p for bag in b.bags))
     if tol_main is None:
         tol_main = default_tol_main(n)
     dec = jacobi_eigh(c.entries)
@@ -369,7 +389,7 @@ def main_eigs_condensed(
     if tol_group is None:
         tol_group = default_tol_group(c.entries)
     if tol_main is None:
-        tol_main = default_tol_main(int(round(float(np.sum(c.weights**2)))))
+        tol_main = default_tol_main(round(c.weights.dot(c.weights)))
     dec = jacobi_eigh(c.entries)
     groups = _grouped(dec.values, dec.vectors, c.weights, tol_group, tol_main)
     return [(grp.value, grp.main) for grp in groups]

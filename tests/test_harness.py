@@ -442,6 +442,14 @@ class TestWideCotrees:
         assert err.startswith("error:") and "100000" in err and str(MAX_EDGE_LIST_N) in err
         assert err.count("\n") == 1
 
+    def test_shared_wide_tree_is_refused_during_the_walk(self, capsys):
+        # 2,000,000 bags from a few distinct nodes: refused once the walk passes the limit
+        start = time.perf_counter()
+        assert main(["spectrum", "--cotree", "U(2*J(1000*U(1000*J(2))))"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "r = 2000000 bags" in err and err.count("\n") == 1
+
     def test_classify_answers(self, capsys):
         assert main(["classify", "--cotree", self.WIDE, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["witness"] == [0, 1, 2, 3]

@@ -10,9 +10,14 @@ from qcograph.enumeration import enumerate_cographs
 from qcograph.families import FamilySpec, build, default_grids
 from qcograph.graph import Graph, bipartition, components, induced_subgraph, join
 from qcograph.spectra import (
+    EigenDecomposition,
+    SolverError,
+    SpectrumGroup,
+    _grouped,
     algebraic_connectivity,
     condensed,
     default_tol_group,
+    default_tol_main,
     dumps_17g,
     jacobi_eigh,
     laplacian,
@@ -179,6 +184,125 @@ class TestJacobi:
         assert len(lines) == 809
         digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
         assert digest == "22ec09576d58bc7917a84565b56381e84ddf03bd"
+
+
+# References for jacobi_eigh and _grouped: the same arithmetic, one NumPy
+# library call per step (np.linalg.norm, np.mean, np.array_equal, the
+# diagonal read back from the array). The library cuts the calls around the
+# arithmetic, so its results must equal these bit for bit.
+
+
+def reference_jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    if n == 0 or a.shape != (n, n):
+        raise ValueError(f"need a non-empty square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("need a finite matrix, got a NaN or infinite entry")
+    if not np.array_equal(a, a.T):
+        raise ValueError("need an exactly symmetric matrix")
+    av = np.vstack([a, np.eye(n)])
+    a, v = av[:n], av[n:]
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0 or n == 1:
+        return reference_sorted_decomposition(np.diag(a).copy(), v)
+    rot = np.empty((2, 2))
+    tol = 1e-12 * norm
+    skip = tol / (2.0 * n)
+    for _ in range(100):
+        off = a.flatten()
+        off[:: n + 1] = 0.0
+        if float(np.linalg.norm(off)) <= tol:
+            return reference_sorted_decomposition(np.diag(a).copy(), v)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a.item(p, q)
+                if abs(apq) <= skip:
+                    continue
+                app = a.item(p, p)
+                aqq = a.item(q, q)
+                tau = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rot[0, 0] = rot[1, 1] = c
+                rot[0, 1] = s
+                rot[1, 0] = -s
+                pq = slice(p, q + 1, q - p)
+                cols = av[:, pq] @ rot
+                av[:, pq] = cols
+                a[pq, :] = cols[:n].T
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+    raise SolverError("sweep cap exceeded")
+
+
+def reference_sorted_decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
+    order = np.argsort(values, kind="stable")
+    return EigenDecomposition(values=values[order], vectors=vectors[:, order])
+
+
+def reference_grouped(values, vectors, weights, tol_group, tol_main) -> list[SpectrumGroup]:
+    spans, start = [], 0
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] > tol_group:
+            spans.append((start, i))
+            start = i
+    spans.append((start, len(values)))
+    groups = []
+    for start, stop in spans:
+        norm = float(np.linalg.norm(vectors[:, start:stop].T @ weights))
+        value = float(np.mean(values[start:stop]))
+        groups.append(SpectrumGroup(value, stop - start, norm > tol_main, norm))
+    groups.reverse()
+    return groups
+
+
+def assert_bit_identical(matrix: np.ndarray, weights: np.ndarray, label: str) -> None:
+    """jacobi_eigh and _grouped on matrix, with weights as the all-ones
+    vector, equal their references exactly."""
+    want = reference_jacobi_eigh(matrix)
+    got = jacobi_eigh(matrix)
+    assert np.array_equal(got.values, want.values) and np.array_equal(got.vectors, want.vectors), label
+    tols = (default_tol_group(matrix), default_tol_main(matrix.shape[0]))
+    assert _grouped(want.values, want.vectors, weights, *tols) == reference_grouped(
+        want.values, want.vectors, weights, *tols
+    ), label
+
+
+class TestBitIdentity:
+    def test_q_l_and_condensed_of_every_cograph_up_to_8(self):
+        count = 0
+        for n in range(1, 9):
+            for s in enumerate_cographs(n).strings:
+                t = parse(s)
+                g = to_graph(t)
+                assert_bit_identical(signless_laplacian(g), np.ones(n), f"Q {s}")
+                assert_bit_identical(laplacian(g), np.ones(n), f"L {s}")
+                c = condensed(bags(t))
+                assert_bit_identical(c.entries, c.weights, f"C {s}")
+                count += 1
+        assert count == 809
+
+    @pytest.mark.parametrize("label", sorted(GRAPH_Q_CASES))
+    def test_graph_q_with_large_eigenspaces(self, label):
+        # groups of 8 or more values, which np.mean sums pairwise
+        g = GRAPH_Q_CASES[label]()
+        assert_bit_identical(signless_laplacian(g), np.ones(g.n), label)
+
+    def test_seeded_random_symmetric(self):
+        rng = np.random.default_rng(2024)
+        for n in range(1, 41):
+            m = rng.normal(size=(n, n))
+            m = m + m.T
+            assert_bit_identical(m, rng.normal(size=n), f"random {n}")
+
+    @pytest.mark.parametrize(
+        "matrix", [np.zeros((4, 4)), np.array([[2.5]]), np.zeros((1, 1))], ids=["zero", "1x1", "zero-1x1"]
+    )
+    def test_zero_and_1x1(self, matrix):
+        assert_bit_identical(matrix, np.ones(matrix.shape[0]), "small")
 
 
 class TestQSpectrum:
