@@ -8,8 +8,8 @@ from typing import Callable, Iterator
 
 from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, bags, from_graph, parse, to_graph
 from .enumeration import ENUMERATION_CAP, enumerate_cographs
-from .families import FamilySpec, build, build_cotree, default_grid, default_grids, expected_mains
-from .graph import Graph, bipartition, complement, join, union
+from .families import FamilySpec, build_cotree, default_grid, default_grids, expected_mains
+from .graph import Graph, bipartition, complement, union
 from .oracle import (
     mains_core_union,
     predict_main_count,
@@ -175,7 +175,8 @@ def _gcs_count(specs: list[FamilySpec]) -> Iterator[_Row]:
 
 
 def _join_kc(max_n: int) -> Iterator[_Row]:
-    """Joining K_c onto a cograph with k >= 2 mains gives k or k+1 mains.
+    """Joining K_c onto a cograph with k >= 2 mains gives k or k+1 mains,
+    both counted exactly (acceptance criterion 9 checks the law densely).
 
     The zero-main form ("k+1 iff 0 is not a main eigenvalue of the
     complement") is the exact law and is checked on every graph. The
@@ -185,11 +186,10 @@ def _join_kc(max_n: int) -> Iterator[_Row]:
     bipartite one (smallest case: the star on 4 vertices).
     """
     for s, t in _iter_enumerated(max_n):
-        g = to_graph(t)
-        k = q_spectrum(g).main_count
+        k = main_count_exact(t)
         if k < 2:
             continue
-        comp = complement(g)
+        comp = complement(to_graph(t))
         comp_connected = is_connected(comp)
         non_bip = bipartition(comp) is None
         zero_main = zero_is_q_main(comp)
@@ -198,7 +198,7 @@ def _join_kc(max_n: int) -> Iterator[_Row]:
         bip_why = f"complement {'non-bipartite' if non_bip else 'bipartite'}"
         zero_why = f"0 {'is' if zero_main else 'is not'} a main of the complement"
         for c in (1, 2):
-            got = q_spectrum(join(Graph.complete(c), g)).main_count
+            got = main_count_exact(Internal(JOIN, (Leaf(),) * c + (t,)))
             if comp_connected:
                 yield (f"bipartite-form,c={c},{s}", s, f"k = {want_bip} (k(g)={k}, {bip_why})", f"k = {got}",
                        got == want_bip, abs(got - want_bip))
@@ -206,9 +206,10 @@ def _join_kc(max_n: int) -> Iterator[_Row]:
                    got == want_zero and got in (k, k + 1), abs(got - want_zero))
 
 
-def _closed_form_row(key: str, input_: str, g: Graph, want: list[tuple[float, int, bool]]) -> _Row:
-    """The solver's (value, multiplicity, main) groups of g against a closed-form spectrum."""
-    got = [(grp.value, grp.multiplicity, grp.main) for grp in q_spectrum(g).groups]
+def _closed_form_row(key: str, expr: str, want: list[tuple[float, int, bool]]) -> _Row:
+    """The (value, multiplicity, main) groups of the cograph expr, read off
+    its cotree's bags, against a closed-form spectrum."""
+    got = [(grp.value, grp.multiplicity, grp.main) for grp in q_spectrum_cotree(parse(expr)).groups]
     if len(got) != len(want):
         ok, resid = False, abs(len(got) - len(want))
     elif any(gm != wm or gf != wf for (_, gm, gf), (_, wm, wf) in zip(got, want)):
@@ -216,21 +217,21 @@ def _closed_form_row(key: str, input_: str, g: Graph, want: list[tuple[float, in
     else:
         resid = max(abs(gv - wv) for (gv, _, _), (wv, _, _) in zip(got, want))
         ok = resid <= VALUE_TOL
-    return key, input_, str(want), str(got), ok, resid
+    return key, expr, str(want), str(got), ok, resid
 
 
 def _spectra_closed_forms() -> Iterator[_Row]:
-    """Closed-form spectra and integer-eigenvalue families against the solver."""
+    """Closed-form spectra and integer-eigenvalue families against the cotree
+    route (acceptance criteria 1 and 7 check the dense route against them)."""
     for n in range(1, 9):
-        yield _closed_form_row(f"K_{n}", f"K({n})", Graph.complete(n), sigma_complete(n))
+        yield _closed_form_row(f"K_{n}", f"K({n})", sigma_complete(n))
     for a in range(1, 6):
         for b in range(1, 6):
-            g = to_graph(parse(f"J(E({a}),E({b}))"))
-            yield _closed_form_row(f"bipartite-join-{a}-{b}", f"J(E({a}),E({b}))", g, sigma_bipartite_join(a, b))
+            yield _closed_form_row(f"bipartite-join-{a}-{b}", f"J(E({a}),E({b}))", sigma_bipartite_join(a, b))
     for a in range(1, 6):
         for b in range(2, 7):
             spec = FamilySpec.make("CompleteSplit", a=a, b=b)
-            got = q_spectrum(build(spec)[1]).main_values()
+            got = q_spectrum_cotree(build_cotree(spec)).main_values()
             want = expected_mains(spec)
             dist = _set_distance(got, want)
             yield (f"complete-split-{a}-{b}", f"CompleteSplit(a={a},b={b})", _fmt_vals(want), _fmt_vals(got),
@@ -241,8 +242,7 @@ def _spectra_closed_forms() -> Iterator[_Row]:
                 if a == b:
                     continue
                 (q1, q2), nonmain, mult = mains_core_union(c, a, b)
-                _, g = build(FamilySpec.make("CoreUnion", c=c, a=a, b=b))
-                rep = q_spectrum(g)
+                rep = q_spectrum_cotree(build_cotree(FamilySpec.make("CoreUnion", c=c, a=a, b=b)))
                 got = rep.main_values()
                 dist = _set_distance(got, [q1, q2])
                 got_mult = sum(
@@ -278,8 +278,7 @@ def _spectra_closed_forms() -> Iterator[_Row]:
                 [5 * s - 2, 2 * s - 2],
             ),
         ):
-            _, g = build(spec)
-            got = q_spectrum(g).main_values()
+            got = q_spectrum_cotree(build_cotree(spec)).main_values()
             dist = _set_distance(got, [float(x) for x in want])
             int_resid = max((abs(v - round(v)) for v in got), default=0.0)
             ok = dist <= VALUE_TOL and int_resid <= VALUE_TOL and len(got) == 2

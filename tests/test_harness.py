@@ -4,11 +4,14 @@ import time
 
 import pytest
 
+from qcograph import verify
 from qcograph.cli import main
 from qcograph.cotree import MAX_DEPTH, parse, to_graph
+from qcograph.enumeration import enumerate_cographs
 from qcograph.families import FamilySpec, build
-from qcograph.graph import MAX_EDGE_LIST_N, format_edge_list
+from qcograph.graph import MAX_EDGE_LIST_N, Graph, format_edge_list, join
 from qcograph.recognition import classify
+from qcograph.spectra import q_spectrum
 from qcograph.sweep import sweep, sweep_to_csv
 from qcograph.verify import THEOREM_IDS, cases_to_csv, run_verify
 from test_cotree import alternating, threshold_chain
@@ -149,6 +152,56 @@ class TestVerifySuites:
         assert not [c for c in bip if "J(1,U(3))" in c.case_id]
         assert [c for c in zero if "J(1,U(3))" in c.case_id]
         assert all(c.passed for c in cases)
+
+    def test_join_kc_counts_match_the_dense_route(self):
+        # k and the joined count are exact counts on bag quotients; the
+        # dense solve of each graph and of K_c joined to it is the reference
+        cases = run_verify("join-kc", max_n=7)
+        seen = set()
+        for case in cases:
+            c = int(case.case_id.split(",")[1].removeprefix("c="))
+            g = to_graph(parse(case.input))
+            k = q_spectrum(g).main_count
+            joined = q_spectrum(join(Graph.complete(c), g)).main_count
+            assert f"(k(g)={k}," in case.predicted, case.case_id
+            assert case.computed == f"k = {joined}", case.case_id
+            seen.add(case.input)
+        # every enumerated cograph with k >= 2 has rows, and no other
+        want = {
+            s for n in range(1, 8) for s in enumerate_cographs(n).strings
+            if q_spectrum(to_graph(parse(s))).main_count >= 2
+        }
+        assert seen == want
+        assert all(c.passed for c in cases)
+
+    def test_closed_forms_run_no_dense_solve(self, monkeypatch):
+        def refuse(g, *args, **kwargs):
+            raise AssertionError("dense q_spectrum called")
+
+        monkeypatch.setattr(verify, "q_spectrum", refuse)
+        cases = run_verify("spectra-closed-forms")
+        assert len(cases) == 109 and all(c.passed for c in cases)
+
+    def test_closed_forms_agree_with_the_dense_route(self, monkeypatch):
+        # each instance the suite solves on its bags is also solved densely:
+        # same groups, multiplicities and main flags, values within 1e-9
+        cotree_route = verify.q_spectrum_cotree
+        checked = []
+
+        def both_routes(t, *args, **kwargs):
+            rep = cotree_route(t, *args, **kwargs)
+            dense = q_spectrum(to_graph(t))
+            assert [(g.multiplicity, g.main) for g in rep.groups] == [
+                (g.multiplicity, g.main) for g in dense.groups
+            ]
+            assert max(abs(a.value - b.value) for a, b in zip(rep.groups, dense.groups)) <= 1e-9
+            checked.append(t)
+            return rep
+
+        monkeypatch.setattr(verify, "q_spectrum_cotree", both_routes)
+        cases = run_verify("spectra-closed-forms")
+        assert len(cases) == 109 and all(c.passed for c in cases)
+        assert len(checked) == 109
 
 
 class TestSweep:
