@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .cotree import Cotree, CotreeSyntaxError, NotCograph, bags, canonical_string, parse
+from .cotree import Cotree, CotreeSyntaxError, NotCograph, _from_graph, bags, canonical_string, canonicalize, parse
 from .enumeration import enumerate_cographs
 from .families import FamilySpec, build, build_cotree
 from .graph import Graph, format_edge_list, parse_edge_list
@@ -76,7 +76,11 @@ def _cmd_spectrum(args) -> int:
     tol_group = args.tol_group if args.tol_group is not None else cfg.get("tol_group")
     tol_main = args.tol_main if args.tol_main is not None else cfg.get("tol_main")
     source = _input_from_args(args)
-    if isinstance(source, Graph):
+    recovered = _from_graph(source) if isinstance(source, Graph) and source.n else None
+    if recovered is not None:
+        # a cograph's report is that of its canonical cotree: it depends only on the isomorphism class
+        source = canonicalize(recovered[0])
+    if isinstance(source, Graph):  # not a cograph, or no vertex: the dense route
         rep = q_spectrum(source, tol_group=tol_group, tol_main=tol_main)
     else:
         rep = q_spectrum_cotree(source, tol_group=tol_group, tol_main=tol_main)

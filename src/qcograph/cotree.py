@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .graph import MAX_EDGE_LIST_N, Graph, neighbourhood_masks, split_components
+from .graph import MAX_EDGE_LIST_N, Graph, _mask_members, induced_subgraph, neighbourhood_masks, split_components
 
 __all__ = [
     "Leaf",
@@ -379,22 +379,27 @@ def from_graph(g: Graph) -> Cotree:
     disconnected -> join over co-components. Vertex sets are int bitmasks
     split with the neighbourhood masks of g and of its complement, in DFS
     order, so children keep the order of their smallest vertices. Raises
-    NotCograph with the first induced-P4 witness (find_p4) otherwise. The
-    cotree may nest to any depth: MAX_DEPTH limits only the DSL.
+    NotCograph with the first induced-P4 witness (find_p4) otherwise: only
+    this function searches it. The cotree may nest to any depth: MAX_DEPTH
+    limits only the DSL.
     """
-    return _from_graph(g)[0]
+    recovered = _from_graph(g)
+    if recovered is None:
+        raise NotCograph(find_p4(g))
+    return recovered[0]
 
 
-def _from_graph(g: Graph) -> tuple[Cotree, dict[int, int]]:
-    """``from_graph``'s cotree, which shares no node, and each leaf's vertex keyed by id(leaf)."""
+def _from_graph(g: Graph) -> tuple[Cotree, dict[int, int]] | None:
+    """``from_graph``'s cotree, which shares no node, and each leaf's vertex
+    keyed by id(leaf); None as soon as the split meets a vertex set that is
+    connected in g and in its complement. No witness is searched, so a caller
+    that only asks whether g is a cograph pays for the split alone."""
     if g.n < 1:
         raise ValueError("from_graph requires at least one vertex")
-    nbr = neighbourhood_masks(g.adj)
-    full = (1 << g.n) - 1
-    co = [full & ~m & ~(1 << v) for v, m in enumerate(nbr)]
+    nbr, co = _split_masks(g)
     root: list[Cotree | None] = [None]
     labels: dict[int, int] = {}
-    stack = [(full, root, 0)]  # (vertex mask, parent's child slots, slot)
+    stack = [((1 << g.n) - 1, root, 0)]  # (vertex mask, parent's child slots, slot)
     internals = []  # (kind, child slots, parent's child slots, slot), in pre-order
     while stack:
         verts, slots, i = stack.pop()
@@ -406,9 +411,7 @@ def _from_graph(g: Graph) -> tuple[Cotree, dict[int, int]]:
         if len(parts) == 1:
             kind, parts = JOIN, split_components(co, verts)
             if len(parts) == 1:
-                witness = find_p4(g)
-                assert witness is not None, "connected, co-connected graph must contain a P4"
-                raise NotCograph(witness)
+                return None
         kids: list[Cotree | None] = [None] * len(parts)
         internals.append((kind, kids, slots, i))
         stack.extend((parts[j], kids, j) for j in reversed(range(len(parts))))
@@ -417,11 +420,42 @@ def _from_graph(g: Graph) -> tuple[Cotree, dict[int, int]]:
     return root[0], labels
 
 
+def _split_masks(g: Graph) -> tuple[list[int], list[int]]:
+    """The neighbourhood masks of g and of its complement, which split a
+    vertex mask into components and co-components."""
+    nbr = neighbourhood_masks(g.adj)
+    full = (1 << g.n) - 1
+    return nbr, [full & ~m & ~(1 << v) for v, m in enumerate(nbr)]
+
+
 def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
-    """First induced P4 over lexicographic 4-subsets, returned in path order."""
+    """First induced P4 over lexicographic 4-subsets, returned in path order.
+
+    An induced P4 is connected and so is its complement, so it lies inside
+    one of the sets where ``from_graph``'s split stops, connected in g and
+    in its complement. Each such set is scanned alone, on its induced
+    subgraph in ascending vertex order, which keeps lexicographic order;
+    the first of their witnesses is the first in g.
+    """
     from .recognition import find_induced  # deferred: recognition imports this module
 
-    return find_induced(g, "P4")
+    nbr, co = _split_masks(g)
+    first, stack = None, [(1 << g.n) - 1]
+    while stack:
+        verts = stack.pop()
+        if verts & (verts - 1) == 0:
+            continue
+        parts = split_components(nbr, verts)
+        if len(parts) == 1:
+            parts = split_components(co, verts)
+        if len(parts) > 1:
+            stack += parts
+            continue
+        members = _mask_members(verts)
+        path = tuple(members[v] for v in find_induced(induced_subgraph(g, members), "P4"))
+        if first is None or sorted(path) < sorted(first):
+            first = path
+    return first
 
 
 def complement_cotree(t: Cotree) -> Cotree:

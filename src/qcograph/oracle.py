@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _walk, complement_cotree, from_graph, normalize
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, _from_graph, _walk, complement_cotree, normalize
 from .graph import Graph, bipartition, components, induced_subgraph
 from .recognition import NotApplicable, cotree_flags, is_regular, parse_generalized_core_satellite
 from .spectra import main_count_exact
@@ -186,7 +186,7 @@ def _predict_from_satellites(n0: int, satellites: tuple[tuple[int, int], ...]) -
 def predict_main_count(obj) -> MainCountPrediction:
     """Decision ladder over the structural theorems, read off one normalized
     cotree: that of a cotree, of a FamilySpec (``build_cotree``, no graph)
-    or of a graph (``from_graph``, once).
+    or of a graph (``from_graph``'s split, once, with no P4 searched).
 
     1. regular graphs (complete included) have exactly one main eigenvalue;
     2-4. generalized core-satellite shapes by satellite pattern;
@@ -206,12 +206,12 @@ def predict_main_count(obj) -> MainCountPrediction:
     if isinstance(obj, FamilySpec):
         obj = build_cotree(obj)
     elif isinstance(obj, Graph):
-        try:
-            obj = from_graph(obj)
-        except NotCograph:
+        recovered = _from_graph(obj)
+        if recovered is None:
             if is_regular(obj):
                 return MainCountPrediction(k=1, rule="Regular", premises=f"{int(obj.degrees()[0])}-regular graph")
             return MainCountPrediction(k=obj.n, rule="WidthBoundOnly", premises="not a cograph; trivial order bound")
+        obj = recovered[0]
     elif not isinstance(obj, (Leaf, Internal)):
         raise TypeError(f"expected Cotree, FamilySpec or Graph, got {type(obj)!r}")
     t = normalize(obj)
@@ -264,10 +264,10 @@ def predict_two_main_forms(source: Graph | Cotree) -> FormA | FormB | None:
     if isinstance(source, Graph):
         if source.n < 1:
             raise NotApplicable("empty graph")
-        try:
-            source = from_graph(source)
-        except NotCograph:
-            raise NotApplicable("graph is not quasi-threshold") from None
+        recovered = _from_graph(source)
+        if recovered is None:
+            raise NotApplicable("graph is not quasi-threshold")
+        source = recovered[0]
     flags = cotree_flags(source)
     if not flags["is_connected"]:
         raise NotApplicable("graph is disconnected")

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, NotCograph, _from_graph, _post_order, from_graph, normalize
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, _from_graph, _post_order, find_p4, normalize
 from .graph import Graph, bipartition, components, induced_subgraph
 from .spectra import algebraic_connectivity
 
@@ -287,17 +287,18 @@ def classify(source: Graph | Cotree) -> ClassificationReport:
 
     The witness is the first forbidden pattern ruled on: the induced P4 of a
     non-cograph, else the first C4 of a non-chordal graph, else the first
-    2K2 of a non-threshold one, else None, first as in ``find_induced``. For
-    a cograph one walk of the same cotree finds it, when ``report.witness``
-    is first read; no graph is built.
+    2K2 of a non-threshold one, else None, first as in ``find_induced``. It
+    is searched when ``report.witness`` is first read: for a cograph by one
+    walk of the same cotree, with no graph built, for a non-cograph by
+    ``find_p4``.
     """
     if isinstance(source, Graph):
         if source.n < 1:
             raise ValueError("classification needs at least one vertex")
-        try:
-            t, labels = _from_graph(source)
-        except NotCograph as exc:
-            return _classify_dense(source, exc.witness)
+        recovered = _from_graph(source)
+        if recovered is None:
+            return _classify_dense(source)
+        t, labels = recovered
     else:
         t, labels = normalize(source), None
     flags = cotree_flags(t)
@@ -310,8 +311,9 @@ def classify(source: Graph | Cotree) -> ClassificationReport:
     return ClassificationReport(is_cograph=True, **flags, search_witness=search_witness)
 
 
-def _classify_dense(g: Graph, p4: Witness) -> ClassificationReport:
-    """Flags of a graph that is not a cograph, with its induced P4."""
+def _classify_dense(g: Graph) -> ClassificationReport:
+    """Flags of a graph that is not a cograph; its first induced P4 is
+    searched when ``report.witness`` is first read."""
     return ClassificationReport(
         is_cograph=False,
         is_chordal=is_chordal(g),
@@ -321,7 +323,7 @@ def _classify_dense(g: Graph, p4: Witness) -> ClassificationReport:
         is_regular=is_regular(g),
         is_complete=is_complete(g),
         is_connected=is_connected(g),
-        search_witness=lambda: p4,
+        search_witness=lambda: find_p4(g),
     )
 
 
@@ -465,14 +467,14 @@ def parse_generalized_core_satellite(source: Graph | Cotree) -> SatelliteSpec | 
     leaves (a satellite). Returns None otherwise: for non-cographs,
     disconnected and complete graphs (a one-satellite reading is rejected),
     and whenever some satellite is not complete. Every graph recognized is
-    quasi-threshold. A graph is read through ``from_graph``, whose cotree may
-    nest to any depth.
+    quasi-threshold. A graph is read through ``from_graph``'s split, whose
+    cotree may nest to any depth; a non-cograph's P4 is not searched.
     """
     if isinstance(source, Graph):
-        try:
-            source = from_graph(source)
-        except NotCograph:
+        recovered = _from_graph(source)
+        if recovered is None:
             return None
+        source = recovered[0]
     t = normalize(source)
     if not (isinstance(t, Internal) and t.kind == JOIN):
         return None

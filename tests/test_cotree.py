@@ -16,6 +16,7 @@ from qcograph.cotree import (
     MAX_DEPTH,
     NotCograph,
     UNION,
+    _from_graph,
     bags,
     canonical_string,
     canonicalize,
@@ -27,8 +28,8 @@ from qcograph.cotree import (
     to_graph,
 )
 from qcograph.enumeration import enumerate_cographs, enumerate_cotrees
-from qcograph.graph import Graph, complement, induced_subgraph
-from qcograph.recognition import cotree_flags
+from qcograph.graph import Graph, complement, induced_subgraph, join, union
+from qcograph.recognition import cotree_flags, find_induced
 
 
 def alternating(depth: int) -> str:
@@ -190,8 +191,6 @@ class TestFromGraph:
 
 
     def test_witness_is_first_induced_p4(self):
-        from qcograph.recognition import find_induced
-
         rng = random.Random(9)
         seen = 0
         while seen < 100:
@@ -202,6 +201,41 @@ class TestFromGraph:
             except NotCograph as exc:
                 assert exc.witness == find_induced(g, "P4")
                 seen += 1
+
+    def test_find_p4_is_the_first_p4_across_prime_sets(self):
+        # unions and joins of random parts, relabelled: several connected,
+        # co-connected sets, each holding P4s, and none crossing between them
+        rng = random.Random(11)
+
+        def composed(depth: int) -> Graph:
+            if depth == 0 or rng.random() < 0.3:
+                n = rng.randint(1, 7)
+                return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            g = composed(depth - 1)
+            for _ in range(rng.randint(1, 2)):
+                g = (union if rng.random() < 0.5 else join)(g, composed(depth - 1))
+            order = list(range(g.n))
+            rng.shuffle(order)
+            return Graph(g.adj[np.ix_(order, order)])
+
+        found = 0
+        for _ in range(400):
+            g = composed(3)
+            witness = find_induced(g, "P4")
+            assert find_p4(g) == witness
+            found += witness is not None
+        assert found > 200
+
+    def test_split_alone_searches_no_witness(self, monkeypatch):
+        import qcograph.cotree as cotree
+
+        calls = []
+        monkeypatch.setattr(cotree, "find_p4", lambda g: calls.append(g))
+        p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert _from_graph(p4) is None and _from_graph(union(Graph.complete(3), p4)) is None
+        assert calls == []
+        t, labels = _from_graph(Graph.complete(2))
+        assert t == parse("J(2)") and sorted(labels.values()) == [0, 1]
 
     def test_deep_threshold_chain(self):
         # 599 nested nodes, deeper than the DSL's MAX_DEPTH: graph input has no depth cap
@@ -276,7 +310,7 @@ def reference_from_graph(g: Graph) -> Cotree:
     try:
         return build(g)
     except NoCotree:
-        raise NotCograph(find_p4(g)) from None
+        raise NotCograph(find_induced(g, "P4")) from None
 
 
 class TestConversionsPinned:

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import random
 import time
 
+import numpy as np
 import pytest
 
 from qcograph import verify
@@ -11,7 +13,7 @@ from qcograph.enumeration import enumerate_cographs
 from qcograph.families import FamilySpec, build
 from qcograph.graph import MAX_EDGE_LIST_N, Graph, format_edge_list, join
 from qcograph.recognition import classify
-from qcograph.spectra import q_spectrum
+from qcograph.spectra import q_spectrum, report_to_json
 from qcograph.sweep import sweep, sweep_to_csv
 from qcograph.verify import THEOREM_IDS, cases_to_csv, run_verify
 from test_cotree import alternating, threshold_chain
@@ -383,12 +385,14 @@ class TestCli:
         assert data["tolerances"]["tol_group"] == 1e-9
 
     def test_spectrum_json_names_route(self, tmp_path, capsys):
-        path = tmp_path / "g.edges"
-        path.write_text("2 1\n0 1\n")
+        k2, p4 = tmp_path / "k2.edges", tmp_path / "p4.edges"
+        k2.write_text("2 1\n0 1\n")
+        p4.write_text("4 3\n0 1\n1 2\n2 3\n")
         for argv, route in (
             (["--cotree", "J(2,U(3))"], "cotree"),
             (["--family", '{"family":"CompleteSplit","params":{"a":2,"b":3}}'], "cotree"),
-            (["--edges", str(path)], "dense"),
+            (["--edges", str(k2)], "cotree"),
+            (["--edges", str(p4)], "dense"),
         ):
             assert main(["spectrum", *argv, "--json"]) == 0
             assert json.loads(capsys.readouterr().out)["route"] == route
@@ -427,6 +431,57 @@ class TestCli:
         for theorem, grid in (("h-families", h_grid), ("gcs-count", gcs_grid)):
             a = cases_to_csv(run_verify(theorem, grid=grid))
             assert a == cases_to_csv(run_verify(theorem, grid=grid)) and "FAIL" not in a
+
+
+class TestEdgeInputRoute:
+    """`spectrum --edges` answers a cograph on its canonical cotree and a
+    non-cograph on the dense Q."""
+
+    @staticmethod
+    def spectrum(capsys, *argv):
+        assert main(["spectrum", *argv, "--json"]) == 0
+        return capsys.readouterr().out
+
+    def test_cographs_to_8_answer_as_their_canonical_cotree(self, tmp_path, capsys):
+        rng = random.Random(20)
+        path = tmp_path / "g.edges"
+        count = 0
+        for n in range(1, 9):
+            for s in enumerate_cographs(n).strings:
+                perm = rng.sample(range(n), n)
+                g = Graph(to_graph(parse(s)).adj[np.ix_(perm, perm)])
+                path.write_text(format_edge_list(g))
+                out = self.spectrum(capsys, "--edges", str(path))
+                assert out == self.spectrum(capsys, "--cotree", s), (s, perm)
+                got, dense = json.loads(out), q_spectrum(g)
+                assert got["route"] == "cotree" and got["main_count"] == dense.main_count
+                assert [(grp["multiplicity"], grp["main"]) for grp in got["groups"]] == [
+                    (grp.multiplicity, grp.main) for grp in dense.groups
+                ], s
+                assert all(abs(a["value"] - b.value) <= 1e-9 for a, b in zip(got["groups"], dense.groups)), s
+                count += 1
+        assert count == 809
+
+    def test_non_cographs_keep_the_dense_route(self, tmp_path, capsys):
+        rng = random.Random(21)
+        graphs = [Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])]
+        while len(graphs) < 22:
+            n = rng.randint(4, 12)
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            if not classify(g).is_cograph:
+                graphs.append(g)
+        path = tmp_path / "g.edges"
+        for g in graphs:
+            path.write_text(format_edge_list(g))
+            out = self.spectrum(capsys, "--edges", str(path))
+            assert out == report_to_json(q_spectrum(g)) + "\n"
+            assert json.loads(out)["route"] == "dense"
+
+    def test_no_vertex_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.edges"
+        path.write_text("0 0\n")
+        assert main(["spectrum", "--edges", str(path)]) == 2
+        assert capsys.readouterr().err == "error: spectral operations require at least one vertex\n"
 
 
 class TestFamilySizeCap:
@@ -528,18 +583,17 @@ class TestDeepCotrees:
         expr = alternating(MAX_DEPTH)
         edges = tmp_path / "deep.edges"
         edges.write_text(format_edge_list(to_graph(parse(expr))))
-        reports = {}
+        dense = q_spectrum(to_graph(parse(expr))).to_json_dict()
         for argv in (["--cotree", expr], ["--edges", str(edges)]):
             assert main(["spectrum", *argv, "--json"]) == 0
-            data = json.loads(capsys.readouterr().out)
-            reports[data["route"]] = data
-        cot, dense = reports["cotree"], reports["dense"]
-        assert cot["n"] == dense["n"] == MAX_DEPTH + 1
-        assert cot["main_count"] == dense["main_count"]
-        assert [(g["multiplicity"], g["main"]) for g in cot["groups"]] == [
-            (g["multiplicity"], g["main"]) for g in dense["groups"]
-        ]
-        assert all(abs(a["value"] - b["value"]) <= 1e-9 for a, b in zip(cot["groups"], dense["groups"]))
+            cot = json.loads(capsys.readouterr().out)
+            assert cot["route"] == "cotree"
+            assert cot["n"] == dense["n"] == MAX_DEPTH + 1
+            assert cot["main_count"] == dense["main_count"]
+            assert [(g["multiplicity"], g["main"]) for g in cot["groups"]] == [
+                (g["multiplicity"], g["main"]) for g in dense["groups"]
+            ]
+            assert all(abs(a["value"] - b["value"]) <= 1e-9 for a, b in zip(cot["groups"], dense["groups"]))
         assert main(["classify", "--cotree", expr, "--json"]) == 0
         flags = json.loads(capsys.readouterr().out)
         assert flags["is_threshold"] and flags["is_connected"]

@@ -6,8 +6,9 @@ from itertools import combinations
 
 import pytest
 
+import qcograph.cotree as cotree_module
 import qcograph.recognition as recognition
-from qcograph.cotree import JOIN, UNION, Internal, Leaf, from_graph, normalize, parse, to_graph
+from qcograph.cotree import JOIN, UNION, Internal, Leaf, NotCograph, from_graph, normalize, parse, to_graph
 from qcograph.enumeration import enumerate_cographs
 from qcograph.families import build_cotree, default_grids
 from qcograph.graph import Graph, bipartition, components, induced_subgraph, join, union
@@ -26,6 +27,7 @@ from qcograph.recognition import (
     universal_clique_decomposition,
     vertex_connectivity,
 )
+from qcograph.oracle import MainCountPrediction, predict_main_count, predict_two_main_forms
 from test_cotree import random_cotree
 
 
@@ -287,6 +289,58 @@ class TestCotreeWitness:
         # 4 * 10^9 vertices, one visit per distinct node
         assert classify(parse("U(2*J(1000*U(1000*J(1000*U(2)))))")).witness == (0, 1, 2, 3)
         assert classify(parse("U(1,J(1000*U(1000*K(1000))))")).witness == (1, 1001, 1000001, 1001001)
+
+
+def adversarial_graph() -> Graph:
+    """A 320-vertex cograph and a P4 on four more vertices, n = 324: the dense
+    scan tries every 4-subset of the cograph before the only P4."""
+    return union(graph_of("J(1, U(80*J(2), J(U(80), U(79))))"), Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+
+
+class TestWitnessFreeRecognition:
+    """Callers that only ask whether a graph is a cograph search no P4."""
+
+    @pytest.fixture
+    def p4_calls(self, monkeypatch):
+        calls = []
+        search = cotree_module.find_p4
+
+        def counting(g):
+            calls.append(g.n)
+            return search(g)
+
+        for module in (cotree_module, recognition):
+            monkeypatch.setattr(module, "find_p4", counting)
+        return calls
+
+    def test_flags_and_predictions_are_fast(self, p4_calls):
+        g = adversarial_graph()
+        flags = dict.fromkeys(recognition.FLAGS, False)
+        for answer, want in (
+            (lambda: {name: getattr(classify(g), name) for name in recognition.FLAGS}, flags),
+            (lambda: predict_main_count(g), MainCountPrediction(324, "WidthBoundOnly", "not a cograph; trivial order bound")),
+            (lambda: parse_generalized_core_satellite(g), None),
+        ):
+            start = time.process_time()
+            assert answer() == want
+            assert time.process_time() - start < 1.0
+        start = time.process_time()
+        with pytest.raises(NotApplicable, match="not quasi-threshold"):
+            predict_two_main_forms(g)
+        assert time.process_time() - start < 1.0
+        assert p4_calls == []
+
+    @pytest.mark.slow
+    def test_witness_is_the_first_p4_on_first_read(self, p4_calls):
+        g = adversarial_graph()
+        rep = classify(g)
+        assert p4_calls == []
+        witness = find_induced(g, "P4")  # the dense scan over all 4-subsets, about 20 s
+        assert rep.witness == witness == (320, 321, 322, 323)
+        assert p4_calls == [324]
+        with pytest.raises(NotCograph) as exc:
+            from_graph(g)
+        assert exc.value.witness == witness and p4_calls == [324, 324]
 
 
 def kappa_brute_force(g):
