@@ -11,8 +11,8 @@ normal tree, and then reads ``node.children`` and these facts directly.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -27,6 +27,7 @@ __all__ = [
     "UNION",
     "JOIN",
     "MAX_DEPTH",
+    "MAX_CHILDREN",
     "CotreeSyntaxError",
     "NotCograph",
     "parse",
@@ -121,8 +122,17 @@ def _post_order(t: Cotree) -> list[Internal]:
 
 def _normal_step(kind: str, kids: list[Cotree]) -> Cotree:
     """The normal form of a node of this kind over children in normal form:
-    same-kind children merged in, and a lone child in place of the node."""
-    flat = _merged_children(kind, kids)
+    same-kind children merged in, and a lone child in place of the node.
+    A node of more than MAX_CHILDREN children is refused with ValueError as
+    soon as the merge passes that many."""
+    flat: list[Cotree] = []
+    for c in kids:
+        if isinstance(c, Internal) and c.kind == kind:
+            flat += c.children
+        else:
+            flat.append(c)
+        if len(flat) > MAX_CHILDREN:
+            raise ValueError(f"a node of more than {MAX_CHILDREN} children")
     return flat[0] if len(flat) == 1 else Internal(kind, tuple(flat))
 
 
@@ -141,18 +151,14 @@ def _merged_children(kind: str, children) -> list[Cotree]:
     return kids
 
 
-def _walk(
-    t: Cotree, max_bags: float = math.inf
-) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
+def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
     """Walk the normal form of a cotree with an explicit stack, parents before children.
 
     Leaves are numbered in DFS order. Returns the (lo, hi, kind) leaf range
     of every internal node, parents first, and per bag (the leaf children of
     one node, or a lone leaf as a J-bag) its (members, parent kind, degree).
     The degree is t - 1 under a J-parent plus, for each join ancestor A, the
-    leaves of A outside A's child on the path. A tree of more than max_bags
-    bags is refused with ValueError as soon as the walk passes max_bags, so
-    a wide tree of shared subtrees is not walked out in full.
+    leaves of A outside A's child on the path.
     """
     t = normalize(t)
     ranges: list[tuple[int, int, str]] = []
@@ -173,20 +179,17 @@ def _walk(
             lo += c.n
         if members:
             records.append((tuple(members), node.kind, acc + total - 1 if join else acc))
-            if len(records) > max_bags:
-                raise ValueError(
-                    f"r = {_bag_count(t)} bags exceeds the limit of {max_bags} for the dense bag adjacency"
-                )
     return ranges, records
 
 
-def _bag_count(t: Internal) -> int:
-    """The number of bags of a normal tree, counted bottom-up over its distinct nodes."""
+def _bag_count(t: Cotree) -> int:
+    """``bags(t).r``, counted bottom-up over the distinct nodes of t's normal form."""
+    t = normalize(t)
     count: dict[int, int] = {}
     for node in _post_order(t):
         kids = node.children
         count[id(node)] = any(isinstance(c, Leaf) for c in kids) + sum(count.get(id(c), 0) for c in kids)
-    return count[id(t)]
+    return count.get(id(t), 1)
 
 
 def _block_fill(size: int, blocks) -> np.ndarray:
@@ -213,12 +216,18 @@ def _block_fill(size: int, blocks) -> np.ndarray:
 # copies; K(n)/E(n) are the complete/edgeless graphs on n vertices. All
 # integers must be >= 1. Each node is built in normal form from its children's.
 #
+# Every integer counts the children of one node, and one node has at most
+# MAX_CHILDREN children, so a larger integer, or a node whose items or
+# merged same-kind children add up to more, is refused as soon as its list
+# of children passes that many.
+#
 # U/J nodes nest at most MAX_DEPTH deep: the parser recurses once per level,
 # and the cap keeps it inside Python's recursion limit. Only the DSL has it;
 # the tree walks use no recursion, and from_graph nests as deep as it needs.
 # ---------------------------------------------------------------------------
 
 MAX_DEPTH = 256
+MAX_CHILDREN = 1_000_000
 
 
 class _Parser:
@@ -251,9 +260,9 @@ class _Parser:
         if self.pos == start:
             raise self.error("expected an integer")
         value = int(self.text[start : self.pos])
-        if value < 1:
+        if not 1 <= value <= MAX_CHILDREN:
             self.pos = start
-            raise self.error("integers must be >= 1")
+            raise self.error("integers must be >= 1" if value < 1 else f"integers must be <= {MAX_CHILDREN}")
         return value
 
     def parse_expr(self) -> Cotree:
@@ -279,6 +288,8 @@ class _Parser:
         children: list[Cotree] = []
         while True:
             children.extend(self.parse_item())
+            if len(children) > MAX_CHILDREN:
+                raise self.error(f"a node of more than {MAX_CHILDREN} children")
             if self.peek() == ",":
                 self.pos += 1
                 continue
@@ -373,15 +384,13 @@ def to_graph(t: Cotree) -> Graph:
 
 
 def from_graph(g: Graph) -> Cotree:
-    """Recover a normalized cotree by complement-reducibility.
+    """Recover a normalized cotree by complement-reducibility (``_split``).
 
     Single vertex -> leaf; disconnected -> union over components; complement
-    disconnected -> join over co-components. Vertex sets are int bitmasks
-    split with the neighbourhood masks of g and of its complement, in DFS
-    order, so children keep the order of their smallest vertices. Raises
-    NotCograph with the first induced-P4 witness (find_p4) otherwise: only
-    this function searches it. The cotree may nest to any depth: MAX_DEPTH
-    limits only the DSL.
+    disconnected -> join over co-components; children keep the order of
+    their smallest vertices. Raises NotCograph with the first induced-P4
+    witness (find_p4) otherwise: only this function searches it. The cotree
+    may nest to any depth: MAX_DEPTH limits only the DSL.
     """
     recovered = _from_graph(g)
     if recovered is None:
@@ -389,72 +398,72 @@ def from_graph(g: Graph) -> Cotree:
     return recovered[0]
 
 
-def _from_graph(g: Graph) -> tuple[Cotree, dict[int, int]] | None:
-    """``from_graph``'s cotree, which shares no node, and each leaf's vertex
-    keyed by id(leaf); None as soon as the split meets a vertex set that is
-    connected in g and in its complement. No witness is searched, so a caller
-    that only asks whether g is a cograph pays for the split alone."""
-    if g.n < 1:
-        raise ValueError("from_graph requires at least one vertex")
-    nbr, co = _split_masks(g)
-    root: list[Cotree | None] = [None]
-    labels: dict[int, int] = {}
-    stack = [((1 << g.n) - 1, root, 0)]  # (vertex mask, parent's child slots, slot)
-    internals = []  # (kind, child slots, parent's child slots, slot), in pre-order
+def _split(g: Graph) -> Iterator[tuple[int, str | None, list[int]]]:
+    """The complement-reducibility split of g (Corneil, Lerchs and Stewart
+    Burlingham, 1981), read lazily in DFS pre-order: each set of two or more
+    vertices as (mask, kind, parts), kind UNION over its components, JOIN
+    over its co-components, or None with no parts for a prime set, connected
+    in g and in its complement. Parts are bitmasks ordered by smallest vertex."""
+    nbr = neighbourhood_masks(g.adj)
+    full = (1 << g.n) - 1
+    co = [full & ~m & ~(1 << v) for v, m in enumerate(nbr)]
+    stack = [full]
     while stack:
-        verts, slots, i = stack.pop()
+        verts = stack.pop()
         if verts & (verts - 1) == 0:
-            slots[i] = leaf = Leaf()
-            labels[id(leaf)] = verts.bit_length() - 1
             continue
         kind, parts = UNION, split_components(nbr, verts)
         if len(parts) == 1:
             kind, parts = JOIN, split_components(co, verts)
             if len(parts) == 1:
-                return None
-        kids: list[Cotree | None] = [None] * len(parts)
-        internals.append((kind, kids, slots, i))
-        stack.extend((parts[j], kids, j) for j in reversed(range(len(parts))))
-    for kind, kids, slots, i in reversed(internals):
-        slots[i] = Internal(kind, tuple(kids))
-    return root[0], labels
+                kind, parts = None, []
+        yield verts, kind, parts
+        stack += reversed(parts)
 
 
-def _split_masks(g: Graph) -> tuple[list[int], list[int]]:
-    """The neighbourhood masks of g and of its complement, which split a
-    vertex mask into components and co-components."""
-    nbr = neighbourhood_masks(g.adj)
-    full = (1 << g.n) - 1
-    return nbr, [full & ~m & ~(1 << v) for v, m in enumerate(nbr)]
+def _from_graph(g: Graph) -> tuple[Cotree, dict[int, int]] | None:
+    """``from_graph``'s cotree, which shares no node, and each leaf's vertex
+    keyed by id(leaf); None as soon as the split meets a prime set. No
+    witness is searched, so a caller that only asks whether g is a cograph
+    pays for the split alone."""
+    if g.n < 1:
+        raise ValueError("from_graph requires at least one vertex")
+    internals = []
+    for verts, kind, parts in _split(g):
+        if kind is None:
+            return None
+        internals.append((verts, kind, parts))
+    labels: dict[int, int] = {}
+    done: dict[int, Internal] = {}
+
+    def node(verts: int) -> Cotree:
+        if verts & (verts - 1):
+            return done.pop(verts)
+        labels[id(leaf := Leaf())] = verts.bit_length() - 1
+        return leaf
+
+    for verts, kind, parts in reversed(internals):  # children before parents
+        done[verts] = Internal(kind, tuple(node(part) for part in parts))
+    return node((1 << g.n) - 1), labels
 
 
 def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
     """First induced P4 over lexicographic 4-subsets, returned in path order.
 
     An induced P4 is connected and so is its complement, so it lies inside
-    one of the sets where ``from_graph``'s split stops, connected in g and
-    in its complement. Each such set is scanned alone, on its induced
-    subgraph in ascending vertex order, which keeps lexicographic order;
-    the first of their witnesses is the first in g.
+    one prime set of ``_split``. Each such set is scanned alone, on its
+    induced subgraph in ascending vertex order, which keeps lexicographic
+    order; the first of their witnesses is the first in g.
     """
     from .recognition import find_induced  # deferred: recognition imports this module
 
-    nbr, co = _split_masks(g)
-    first, stack = None, [(1 << g.n) - 1]
-    while stack:
-        verts = stack.pop()
-        if verts & (verts - 1) == 0:
-            continue
-        parts = split_components(nbr, verts)
-        if len(parts) == 1:
-            parts = split_components(co, verts)
-        if len(parts) > 1:
-            stack += parts
-            continue
-        members = _mask_members(verts)
-        path = tuple(members[v] for v in find_induced(induced_subgraph(g, members), "P4"))
-        if first is None or sorted(path) < sorted(first):
-            first = path
+    first = None
+    for verts, kind, _ in _split(g):
+        if kind is None:
+            members = _mask_members(verts)
+            path = tuple(members[v] for v in find_induced(induced_subgraph(g, members), "P4"))
+            if first is None or sorted(path) < sorted(first):
+                first = path
     return first
 
 
@@ -485,7 +494,6 @@ class Bag:
     to_graph order.
     """
 
-    id: int
     kind: str
     t: int
     p: int
@@ -516,15 +524,16 @@ def bags(t: Cotree) -> BagRepresentation:
     Bags are ordered by their first vertex in to_graph leaf order. The bags
     under a node are contiguous in that order, so the bag adjacency is the
     same block fill as to_graph's over bag ranges. The one-leaf cotree
-    yields a single J-bag with t=1 and p=0 by convention. A dense r x r bag
-    adjacency over ``MAX_EDGE_LIST_N`` bags is refused with ValueError.
+    yields a single J-bag with t=1 and p=0 by convention. A tree of more than
+    ``MAX_EDGE_LIST_N`` leaves has its bags counted first, and more bags than
+    that, too many for a dense r x r adjacency, are refused with ValueError.
     """
-    ranges, records = _walk(t, MAX_EDGE_LIST_N)
+    if t.n > MAX_EDGE_LIST_N and (r := _bag_count(t)) > MAX_EDGE_LIST_N:
+        raise ValueError(f"r = {r} bags exceeds the limit of {MAX_EDGE_LIST_N} for the dense bag adjacency")
+    ranges, records = _walk(t)
     records.sort(key=lambda rec: rec[0][0])
     firsts = [members[0] for members, _, _ in records]
     blocks = [(bisect_left(firsts, lo), bisect_left(firsts, hi), kind) for lo, hi, kind in ranges]
     z = _block_fill(len(records), blocks)
-    blist = tuple(
-        Bag(i, kind, len(members), p, members) for i, (members, kind, p) in enumerate(records)
-    )
+    blist = tuple(Bag(kind, len(members), p, members) for members, kind, p in records)
     return BagRepresentation(bags=blist, z=z)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Sequence
 
-from .cotree import JOIN, UNION, Cotree, Leaf, _normal_step, canonicalize, to_graph
+from .cotree import JOIN, MAX_CHILDREN, UNION, Cotree, Leaf, _normal_step, canonicalize, to_graph
 from .graph import MAX_EDGE_LIST_N, Graph
 from . import oracle
 
@@ -73,12 +73,15 @@ class FamilySpec:
 
 
 def _integer(family: str, name: str, value) -> int:
-    """The parameter as an int, where it is one exactly (3 or 3.0, not 2.7, "3" or true)."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{family}: parameter {name} must be an integer, got {value!r}")
+    """The parameter as an int, where it is one exactly (3 or 3.0, not 2.7,
+    "3" or true). Each parameter sets how many children some node has, so
+    one above MAX_CHILDREN is refused before any node is built."""
+    exact = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (exact or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{family}: parameter {name} must be an integer, got {value!r}")
+    if value > MAX_CHILDREN:
+        raise ValueError(f"{family}: parameter {name} = {int(value)} exceeds the limit of {MAX_CHILDREN}")
+    return int(value)
 
 
 def _satellites(family: str, value) -> tuple[tuple[int, int], ...]:
@@ -124,8 +127,10 @@ def _star(b: int) -> Cotree:
 
 
 def _core(c: int, orders: list[int]) -> Cotree:
-    """K_c joined with the disjoint union of cliques of the given orders."""
-    return _J(_K(c), _U(*[_K(a) for a in orders]))
+    """K_c joined with the disjoint union of cliques of the given orders,
+    one shared clique per order, so t copies of K_a cost one K_a."""
+    cliques = {a: _K(a) for a in set(orders)}
+    return _J(_K(c), _U(*[cliques[a] for a in orders]))
 
 
 def _tiered(block: Cotree, x: int, y: int, p1: int, p2: int, p3: int) -> Cotree:
@@ -213,6 +218,7 @@ _FAMILIES: dict[str, _Family] = {
         clauses=(
             ("at least one satellite class", lambda p: len(p["satellites"]) >= 1),
             ("satellite counts and orders >= 1", lambda p: all(min(pair) >= 1 for pair in p["satellites"])),
+            (f"at most {MAX_CHILDREN} satellites", lambda p: sum(a for a, _ in p["satellites"]) <= MAX_CHILDREN),
             (
                 "satellite orders pairwise distinct",
                 lambda p: len({n for _, n in p["satellites"]}) == len(p["satellites"]),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, _from_graph, _walk, complement_cotree, normalize
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, _bag_count, _from_graph, complement_cotree, normalize
 from .graph import Graph, bipartition, components, induced_subgraph
 from .recognition import NotApplicable, cotree_flags, is_regular, parse_generalized_core_satellite
 from .spectra import main_count_exact
@@ -231,7 +231,7 @@ def predict_main_count(obj) -> MainCountPrediction:
             if zero_is_q_main(complement_cotree(h)):
                 return MainCountPrediction(k_h, "JoinKcZeroMain", f"{head}; 0 is main in its complement")
             return MainCountPrediction(k_h + 1, "JoinKcZeroNotMain", f"{head}; 0 is not main in its complement")
-    width = len(_walk(t)[1])  # bags(t).r without the dense bag adjacency
+    width = _bag_count(t)  # bags(t).r without walking out shared subtrees
     return MainCountPrediction(k=width, rule="WidthBoundOnly", premises=f"cotree width {width} (upper bound only)")
 
 

@@ -378,20 +378,16 @@ def condensed(b: BagRepresentation) -> CondensedMatrix:
     return CondensedMatrix(entries=c, weights=root)
 
 
-def main_eigs_condensed(
-    c: CondensedMatrix, tol_group: float | None = None, tol_main: float | None = None
-) -> list[tuple[float, bool]]:
+def main_eigs_condensed(c: CondensedMatrix) -> list[tuple[float, bool]]:
     """Eigenvalues of the condensed matrix with main flags, descending.
 
-    A group is main iff the projection of the weight vector s onto its
-    eigenspace has norm above tol_main.
+    Eigenvalues are grouped at default_tol_group of the matrix, and a group
+    is main iff the projection of the weight vector s onto its eigenspace
+    has norm above default_tol_main of the graph's order n = s·s.
     """
-    if tol_group is None:
-        tol_group = default_tol_group(c.entries)
-    if tol_main is None:
-        tol_main = default_tol_main(round(c.weights.dot(c.weights)))
+    n = round(c.weights.dot(c.weights))
     dec = jacobi_eigh(c.entries)
-    groups = _grouped(dec.values, dec.vectors, c.weights, tol_group, tol_main)
+    groups = _grouped(dec.values, dec.vectors, c.weights, default_tol_group(c.entries), default_tol_main(n))
     return [(grp.value, grp.main) for grp in groups]
 
 

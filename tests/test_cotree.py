@@ -13,9 +13,11 @@ from qcograph.cotree import (
     Internal,
     JOIN,
     Leaf,
+    MAX_CHILDREN,
     MAX_DEPTH,
     NotCograph,
     UNION,
+    _bag_count,
     _from_graph,
     bags,
     canonical_string,
@@ -95,6 +97,17 @@ class TestParser:
             parse(alternating(MAX_DEPTH + 1))
         with pytest.raises(CotreeSyntaxError, match="nested deeper"):
             parse(alternating(1500))
+
+    def test_children_per_node_capped(self):
+        # every count names children of one node: a literal, k copies, or a same-kind merge
+        assert len(parse(f"U(1000*U({MAX_CHILDREN // 1000}*J(2)))").children) == MAX_CHILDREN
+        for text in (f"K({MAX_CHILDREN + 1})", f"U({MAX_CHILDREN + 1}*J(2))"):
+            with pytest.raises(CotreeSyntaxError, match=f"integers must be <= {MAX_CHILDREN}"):
+                parse(text)
+        with pytest.raises(CotreeSyntaxError, match=f"a node of more than {MAX_CHILDREN} children"):
+            parse(f"U({MAX_CHILDREN}*J(2),{MAX_CHILDREN}*J(2),{MAX_CHILDREN}*J(2))")
+        with pytest.raises(ValueError, match=f"a node of more than {MAX_CHILDREN} children"):
+            parse(f"U(1001*U({MAX_CHILDREN // 1000}*J(2)))")
 
 
 class TestNormalize:
@@ -364,7 +377,7 @@ class TestBags:
     def test_complete_single_bag(self):
         rep = bags(parse("J(6)"))
         assert rep.r == 1
-        assert rep.bags[0] == Bag(id=0, kind="J", t=6, p=5, members=(0, 1, 2, 3, 4, 5))
+        assert rep.bags[0] == Bag(kind="J", t=6, p=5, members=(0, 1, 2, 3, 4, 5))
 
     def test_single_leaf_convention(self):
         rep = bags(Leaf())
@@ -604,6 +617,7 @@ class TestWalksPinned:
         for n in range(1, 11):
             for t in enumerate_cotrees(n):
                 assert_walks_match(t)
+                assert _bag_count(t) == bags(t).r
                 count += 1
         assert count == 6965
 
@@ -617,6 +631,7 @@ class TestWalksPinned:
             assert to_graph(t) == reference_to_graph(t)
             rep, want = bags(t), bags(reference_normalize(t))
             assert rep.bags == want.bags and np.array_equal(rep.z, want.z)
+            assert _bag_count(t) == rep.r
             unnormalized += reference_normalize(t) != t
         assert unnormalized > 2000
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qcograph.cotree import Leaf, canonical_string, to_graph
+from qcograph.cotree import MAX_CHILDREN, Leaf, canonical_string, to_graph
 from qcograph.families import (
     _FAMILIES,
     FAMILY_PARAMS,
@@ -63,6 +63,18 @@ class TestSpecValidation:
             FamilySpec.make("GeneralizedCoreSatellite", n0=1, satellites=[(1, 2), (2, 2)])
         with pytest.raises(ValueError, match=">= 1"):
             FamilySpec.make("Complete", n=0)
+
+    def test_counts_capped(self):
+        # each parameter counts children of one node, as does the satellite total
+        with pytest.raises(ValueError, match=f"n = {MAX_CHILDREN + 1} exceeds the limit"):
+            FamilySpec.make("Complete", n=float(MAX_CHILDREN + 1))
+        with pytest.raises(ValueError, match=f"satellites = {10**12} exceeds the limit"):
+            FamilySpec.make("GeneralizedCoreSatellite", n0=1, satellites=[(10**12, 2)])
+        with pytest.raises(ValueError, match=f"at most {MAX_CHILDREN} satellites"):
+            FamilySpec.make("GeneralizedCoreSatellite", n0=1, satellites=[(MAX_CHILDREN, 1), (1, 2)])
+        # t copies of K_a share one K_a, so an accepted spec builds its cotree at once
+        t = build_cotree(FamilySpec.make("CoreSatellite", c=1, t=1000, a=MAX_CHILDREN // 1000))
+        assert t.n == 1 + MAX_CHILDREN
 
     def test_json_round_trip(self):
         spec = FamilySpec.make("H6", s=3, p1=1, p2=2, p3=1)

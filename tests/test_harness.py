@@ -8,7 +8,7 @@ import pytest
 
 from qcograph import verify
 from qcograph.cli import main
-from qcograph.cotree import MAX_DEPTH, parse, to_graph
+from qcograph.cotree import MAX_CHILDREN, MAX_DEPTH, parse, to_graph
 from qcograph.enumeration import enumerate_cographs
 from qcograph.families import FamilySpec, build
 from qcograph.graph import MAX_EDGE_LIST_N, Graph, format_edge_list, join
@@ -550,8 +550,8 @@ class TestWideCotrees:
         assert err.startswith("error:") and "100000" in err and str(MAX_EDGE_LIST_N) in err
         assert err.count("\n") == 1
 
-    def test_shared_wide_tree_is_refused_during_the_walk(self, capsys):
-        # 2,000,000 bags from a few distinct nodes: refused once the walk passes the limit
+    def test_shared_wide_tree_is_refused_before_the_walk(self, capsys):
+        # 2,000,000 bags from a few distinct nodes: counted, and refused before any is walked
         start = time.perf_counter()
         assert main(["spectrum", "--cotree", "U(2*J(1000*U(1000*J(2))))"]) == 2
         assert time.perf_counter() - start < 1.0
@@ -561,6 +561,30 @@ class TestWideCotrees:
     def test_classify_answers(self, capsys):
         assert main(["classify", "--cotree", self.WIDE, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["witness"] == [0, 1, 2, 3]
+
+
+class TestOversizedCounts:
+    """A count of more than MAX_CHILDREN children of one node is a usage
+    error, given at once and with no traceback."""
+
+    GCS = {"family": "GeneralizedCoreSatellite", "params": {"n0": 10**12, "satellites": [[3, 5], [2, 7]]}}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--cotree", "K(1000000000000)"],
+            ["classify", "--cotree", "U(1000000000*J(2))"],
+            ["classify", "--cotree", "U(1000*U(1000*U(1000*J(2))))"],
+            ["spectrum", "--family", '{"family":"Complete","params":{"n":1000000000000}}'],
+            ["verify", "--theorem", "gcs-count", "--grid", json.dumps({"specs": [GCS]})],
+        ],
+    )
+    def test_refused_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(MAX_CHILDREN) in err
 
 
 class TestDeepCotrees:

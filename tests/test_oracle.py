@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 
 import pytest
 
@@ -286,6 +287,13 @@ class TestPredictOnCotree:
         k1_p4 = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4)] + [(0, v) for v in range(1, 5)])
         pred = predict_main_count(k1_p4)
         assert (pred.rule, pred.k, pred.exact) == ("WidthBoundOnly", 5, False)
+
+    def test_width_of_shared_wide_tree_is_counted_not_walked(self):
+        # 2,000,001 bags from a few distinct nodes
+        start = time.perf_counter()
+        pred = predict_main_count(parse("U(1,2*J(1000*U(1000*J(2))))"))
+        assert time.perf_counter() - start < 1.0
+        assert (pred.rule, pred.k) == ("WidthBoundOnly", 2_000_001)
 
     def test_rejects_other_input(self):
         with pytest.raises(TypeError, match="expected Cotree, FamilySpec or Graph"):

@@ -521,10 +521,6 @@ class TestToleranceValidation:
             else:
                 q_spectrum_cotree(t, **kwargs)
 
-    def test_rejected_by_condensed_route(self):
-        with pytest.raises(ValueError):
-            main_eigs_condensed(condensed(bags(parse("J(2,U(3))"))), tol_main=math.nan)
-
     def test_zero_is_accepted(self):
         assert q_spectrum(graph_of("J(3)"), tol_group=0.0, tol_main=0.0).main_count >= 1
 
