@@ -11,9 +11,19 @@ import json
 import sys
 from pathlib import Path
 
-from .cotree import Cotree, CotreeSyntaxError, NotCograph, _from_graph, bags, canonical_string, canonicalize, parse
+from .cotree import (
+    Cotree,
+    CotreeSyntaxError,
+    NotCograph,
+    _from_graph,
+    _refuse_wide,
+    bags,
+    canonical_string,
+    canonicalize,
+    parse,
+)
 from .enumeration import enumerate_cographs
-from .families import FamilySpec, build, build_cotree
+from .families import FamilySpec, _raw_cotree, build, build_cotree
 from .graph import Graph, format_edge_list, parse_edge_list
 from .recognition import InternalContradiction, classify
 from .spectra import condensed, dumps_17g, main_eigs_condensed, q_spectrum, q_spectrum_cotree, report_to_json
@@ -68,7 +78,11 @@ def _input_from_args(args) -> Cotree | Graph:
         return parse(args.cotree)
     if src == "edges":
         return parse_edge_list(Path(args.edges).read_text())
-    return build_cotree(FamilySpec.from_json_dict(_load_json_arg(args.family)))
+    # only spectrum takes --family, and its bags refuse a wide tree: count
+    # them on the family's tree before canonicalize sorts every child
+    t = _raw_cotree(FamilySpec.from_json_dict(_load_json_arg(args.family)))
+    _refuse_wide(t)
+    return canonicalize(t)
 
 
 def _cmd_spectrum(args) -> int:

@@ -192,6 +192,66 @@ def _bag_count(t: Cotree) -> int:
     return count.get(id(t), 1)
 
 
+def _refuse_wide(t: Cotree) -> None:
+    """Refuse with ValueError a tree of more than ``MAX_EDGE_LIST_N`` bags,
+    too many for a dense r x r bag adjacency. Bags are counted only when
+    there are more leaves than that, since no tree has more bags than leaves."""
+    if t.n > MAX_EDGE_LIST_N and (r := _bag_count(t)) > MAX_EDGE_LIST_N:
+        raise ValueError(f"r = {r} bags exceeds the limit of {MAX_EDGE_LIST_N} for the dense bag adjacency")
+
+
+def _class_tree(t: Cotree) -> list[tuple[int, bool, int, int]]:
+    """The symmetry-class tree of t's normal form: per position, parents
+    first, (parent position, -1 at the root; whether it is a J-node; its
+    leaf children; its copies under one node of the parent position).
+
+    Nodes are interned bottom-up by (kind, leaf children, sorted child
+    classes), so two nodes share a class iff their subtrees are isomorphic.
+    A position stands for the nodes reached by one path of classes from the
+    root: equal sibling classes are one position, with their number as its
+    copies. Automorphisms permute the copies, so the leaf sets of the
+    positions are an equitable partition of the vertices. The one-leaf
+    tree is one J-position with one leaf. More than ``MAX_EDGE_LIST_N``
+    positions with leaves are refused with ValueError, counted per class
+    before any position is listed, when there are more leaves than that
+    (no tree has more such positions than bags, nor bags than leaves).
+    """
+    t = normalize(t)
+    if isinstance(t, Leaf):
+        return [(-1, True, 1, 1)]
+    classes: dict[tuple, int] = {}  # (kind, leaf children, *sorted child classes) -> class
+    rows: list[tuple[bool, int, list[tuple[int, int]]]] = []  # per class: J-node, leaves, (child class, copies)
+    of: dict[int, int] = {}  # id(node) -> class
+    for node in _post_order(t):
+        children = node.children
+        kids = sorted([of[id(c)] for c in children if isinstance(c, Internal)])
+        key = (node.kind, len(children) - len(kids), *kids)
+        c = classes.get(key)
+        if c is None:
+            c = classes[key] = len(rows)
+            copies = dict.fromkeys(kids, 0)
+            for k in kids:
+                copies[k] += 1
+            rows.append((node.kind == JOIN, key[1], list(copies.items())))
+        of[id(node)] = c
+    root = of[id(t)]
+    if t.n > MAX_EDGE_LIST_N:
+        bearing: list[int] = []  # per class: the positions with leaves in one of its subtrees
+        for _, leaves, groups in rows:  # children before parents
+            bearing.append((leaves > 0) + sum(bearing[c] for c, _ in groups))
+        if bearing[root] > MAX_EDGE_LIST_N:
+            raise ValueError(
+                f"r = {bearing[root]} bag classes exceeds the limit of {MAX_EDGE_LIST_N} for the exact main count"
+            )
+    tree: list[tuple[int, bool, int, int]] = []
+    queue = [(-1, root, 1)]
+    for parent, c, copies in queue:  # breadth first: the queue grows as it is read
+        join, leaves, groups = rows[c]
+        queue += [(len(tree), d, m) for d, m in groups]
+        tree.append((parent, join, leaves, copies))
+    return tree
+
+
 def _block_fill(size: int, blocks) -> np.ndarray:
     """Adjacency of a cotree from its nodes' (lo, hi, kind) ranges, parents first.
 
@@ -528,8 +588,7 @@ def bags(t: Cotree) -> BagRepresentation:
     ``MAX_EDGE_LIST_N`` leaves has its bags counted first, and more bags than
     that, too many for a dense r x r adjacency, are refused with ValueError.
     """
-    if t.n > MAX_EDGE_LIST_N and (r := _bag_count(t)) > MAX_EDGE_LIST_N:
-        raise ValueError(f"r = {r} bags exceeds the limit of {MAX_EDGE_LIST_N} for the dense bag adjacency")
+    _refuse_wide(t)
     ranges, records = _walk(t)
     records.sort(key=lambda rec: rec[0][0])
     firsts = [members[0] for members, _, _ in records]

@@ -304,8 +304,13 @@ _FAMILIES: dict[str, _Family] = {
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {name: row.params for name, row in _FAMILIES.items()}
 
 
+def _raw_cotree(spec: FamilySpec) -> Cotree:
+    """The instance's cotree as its family row makes it: normal, not yet in canonical order."""
+    return _FAMILIES[spec.family].cotree(**spec.param_dict())
+
+
 def build_cotree(spec: FamilySpec) -> Cotree:
-    return canonicalize(_FAMILIES[spec.family].cotree(**spec.param_dict()))
+    return canonicalize(_raw_cotree(spec))
 
 
 def build(spec: FamilySpec) -> tuple[Cotree, Graph]:

@@ -5,7 +5,7 @@ vector. Main flags are decided per eigenvalue group (not per solver vector):
 a group is main iff the projection of the all-ones vector onto its eigenspace
 has norm above tolerance, which is independent of the basis the solver picks.
 ``main_count_exact`` counts the main eigenvalues of a cotree with no
-eigensolve and no tolerance, on the integer bag quotient.
+eigensolve and no tolerance, on its symmetry-class tree.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
-from .cotree import BagRepresentation, Cotree, JOIN, bags
+from .cotree import BagRepresentation, Cotree, JOIN, _class_tree, bags
 from .graph import Graph
 
 __all__ = [
@@ -311,25 +310,26 @@ def q_spectrum_cotree(
     return _report(n, values[order], vectors[:, order], c.weights, tol_group, tol_main, "cotree")
 
 
-def main_count_exact(t: Cotree | BagRepresentation) -> int:
+def main_count_exact(t: Cotree) -> int:
     """The number of main Q-eigenvalues of the graph of t, exactly, with no
-    tolerance and no eigensolve (t may also be ``bags(t)`` itself).
+    tolerance and no eigensolve.
 
-    The bags are an equitable partition, so Q^k 1 is constant on each bag,
-    with bag vector B^k 1 for the r x r integer quotient B: diagonal
-    p + t - 1 on a J-bag and p on a U-bag, entry (i, j) t_j when bags i and
-    j are adjacent. The main count is the rank of the walk vectors
-    1, Q1, Q^2 1, ..., hence of 1, B1, B^2 1, .... Each new vector is B
-    times the last reduced one (which differs from the last walk vector by
-    earlier ones), eliminated over Python ints against an echelon basis and
-    divided by its gcd; the count is the basis size at the first zero.
+    The leaves of each position of t's symmetry-class tree (``_class_tree``)
+    are a class of an equitable partition, so Q^k 1 is constant on each,
+    with class vector B^k 1 for the quotient B of Q. The main count is the
+    rank of the walk vectors 1, Q1, Q^2 1, ..., hence of 1, B1, B^2 1, ....
+    Each new vector is B times the last reduced one (which differs from the
+    last walk vector by earlier ones), eliminated over Python ints against
+    an echelon basis and divided by its gcd; the count is the basis size at
+    the first zero. B is never built: B v is read off the tree, as the
+    degree diagonal plus ``_neighbour_sums``.
     """
-    b = t if isinstance(t, BagRepresentation) else bags(t)
-    sizes = [bag.t for bag in b.bags]
-    diag = [bag.p + bag.t - 1 if bag.kind == JOIN else bag.p for bag in b.bags]
-    adjacency = b.z.tolist()
-    basis: list[tuple[int, list[int]]] = []  # (pivot, row): zero at every earlier pivot
-    v = [1] * b.r
+    tree = _class_tree(t)
+    bearing = [i for i, (_, _, leaves, _) in enumerate(tree) if leaves]
+    ones = [1] * len(bearing)
+    degrees = _neighbour_sums(tree, bearing, ones)
+    basis: list[tuple[int, list[int]]] = [(0, ones)]  # (pivot, row): zero at every earlier pivot
+    v = [2 * d for d in degrees]  # B1 = D1 + A1, and both are the degrees
     while True:
         for pivot, row in basis:
             if v[pivot]:
@@ -341,8 +341,27 @@ def main_count_exact(t: Cotree | BagRepresentation) -> int:
             return len(basis)
         v = [x // g for x in v]
         basis.append((next(i for i, x in enumerate(v) if x), v))
-        weighted = [size * x for size, x in zip(sizes, v)]
-        v = [d * x + sum(compress(weighted, adjacent)) for d, x, adjacent in zip(diag, v, adjacency)]
+        v = [d * x + y for d, x, y in zip(degrees, v, _neighbour_sums(tree, bearing, v))]
+
+
+def _neighbour_sums(tree: list[tuple[int, bool, int, int]], bearing: list[int], v: list[int]) -> list[int]:
+    """A v, for the adjacency A of the graph and v the value of one leaf at
+    each position with leaves of the class tree (``bearing``, in tree
+    order). A leaf's neighbours are, for each J-node on its path, its own
+    node included, the leaves of that node outside its child on the path:
+    subtree sums are added up bottom-up and their differences under J-nodes
+    handed down. With v = 1 these are the degrees."""
+    subtree = [0] * len(tree)
+    for i, x in zip(bearing, v):
+        subtree[i] = tree[i][2] * x
+    for i in range(len(tree) - 1, 0, -1):
+        parent, _, _, copies = tree[i]
+        subtree[parent] += copies * subtree[i]
+    above = [0] * len(tree)  # from the J-nodes strictly above
+    for i in range(1, len(tree)):
+        parent = tree[i][0]
+        above[i] = above[parent] + subtree[parent] - subtree[i] if tree[parent][1] else above[parent]
+    return [above[i] + subtree[i] - x if tree[i][1] else above[i] for i, x in zip(bearing, v)]
 
 
 @dataclass(frozen=True)

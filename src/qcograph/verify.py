@@ -149,8 +149,8 @@ def _zero_main_union(max_n: int) -> Iterator[_Row]:
 def _two_main_characterization(max_n: int) -> Iterator[_Row]:
     """Connected quasi-threshold graphs: exactly two mains iff clique-join of
     two distinct-order satellites or of t>=2 equal-order satellites. k is
-    the exact count on the bag quotient; acceptance criterion 4 checks the
-    same biconditional with the dense q_spectrum."""
+    the exact count on the symmetry-class tree; acceptance criterion 4
+    checks the same biconditional with the dense q_spectrum."""
     for s, t in _iter_enumerated(max_n):
         report = classify(t)
         if not (report.is_connected and report.is_quasi_threshold):

@@ -18,6 +18,7 @@ from qcograph.cotree import (
     NotCograph,
     UNION,
     _bag_count,
+    _class_tree,
     _from_graph,
     bags,
     canonical_string,
@@ -608,9 +609,23 @@ def assert_walks_match(t: Cotree) -> None:
     assert cotree_flags(t) == reference_cotree_flags(t), label
 
 
+def class_tree_weights(t: Cotree) -> tuple[int, int]:
+    """The positions with leaves of ``_class_tree(t)`` and their leaves, each
+    weighted by its number of nodes: the product of copies on its path."""
+    tree = _class_tree(t)
+    nodes = []
+    for parent, _, _, copies in tree:
+        nodes.append(copies * (nodes[parent] if parent >= 0 else 1))
+    return (
+        sum(m for m, (_, _, leaves, _) in zip(nodes, tree) if leaves),
+        sum(m * leaves for m, (_, _, leaves, _) in zip(nodes, tree)),
+    )
+
+
 class TestWalksPinned:
     """normalize, canonicalize, canonical_string, complement_cotree,
-    the leaf count n and cotree_flags agree with the recursive references."""
+    the leaf count n and cotree_flags agree with the recursive references;
+    the bag count and the weighted class tree agree with ``bags``."""
 
     def test_every_cograph_up_to_10(self):
         count = 0
@@ -618,6 +633,7 @@ class TestWalksPinned:
             for t in enumerate_cotrees(n):
                 assert_walks_match(t)
                 assert _bag_count(t) == bags(t).r
+                assert class_tree_weights(t) == (bags(t).r, t.n)
                 count += 1
         assert count == 6965
 
@@ -632,6 +648,7 @@ class TestWalksPinned:
             rep, want = bags(t), bags(reference_normalize(t))
             assert rep.bags == want.bags and np.array_equal(rep.z, want.z)
             assert _bag_count(t) == rep.r
+            assert class_tree_weights(t) == (rep.r, t.n)
             unnormalized += reference_normalize(t) != t
         assert unnormalized > 2000
 

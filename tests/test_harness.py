@@ -563,6 +563,30 @@ class TestWideCotrees:
         assert json.loads(capsys.readouterr().out)["witness"] == [0, 1, 2, 3]
 
 
+class TestWideFamilies:
+    """A family tree of many bags in few symmetry classes: counted exactly,
+    and refused by the spectrum before it is put in canonical order."""
+
+    WIDE = '{"family":"CoreSatellite","params":{"c":1,"t":5000,"a":2}}'  # K_1 joined to 5,000 K_2: 5,001 bags
+
+    def test_gcs_count_of_many_equal_satellites(self, tmp_path, capsys):
+        report = tmp_path / "gcs.csv"
+        argv = ["verify", "--theorem", "gcs-count", "--grid", f'{{"specs":[{self.WIDE}]}}', "--report", str(report)]
+        assert main(argv) == 0
+        assert "gcs-count: 1/1 cases pass" in capsys.readouterr().out
+        assert report.read_text().splitlines()[1].endswith(",k = 2 (CoreSatelliteP1),k = 2,PASS,0")
+
+    def test_spectrum_refuses_before_canonicalize(self, monkeypatch, capsys):
+        def refuse(_):
+            raise AssertionError("canonicalize called")
+
+        for module in ("cli", "families", "cotree"):
+            monkeypatch.setattr(f"qcograph.{module}.canonicalize", refuse)
+        assert main(["spectrum", "--family", self.WIDE]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "r = 5001 bags" in err and err.count("\n") == 1
+
+
 class TestOversizedCounts:
     """A count of more than MAX_CHILDREN children of one node is a usage
     error, given at once and with no traceback."""

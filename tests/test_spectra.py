@@ -1,14 +1,17 @@
 import hashlib
 import math
+import random
+import time
+from itertools import compress
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcograph.cotree import JOIN, Internal, Leaf, bags, from_graph, normalize, parse, to_graph
+from qcograph.cotree import JOIN, UNION, Internal, Leaf, bags, from_graph, normalize, parse, to_graph
 from qcograph.enumeration import enumerate_cographs
-from qcograph.families import FamilySpec, build, default_grids
-from qcograph.graph import Graph, bipartition, components, induced_subgraph, join
+from qcograph.families import FamilySpec, build, build_cotree, default_grids
+from qcograph.graph import MAX_EDGE_LIST_N, Graph, bipartition, components, induced_subgraph, join
 from qcograph.spectra import (
     EigenDecomposition,
     SolverError,
@@ -28,6 +31,7 @@ from qcograph.spectra import (
     report_to_json,
     signless_laplacian,
 )
+from test_cotree import random_cotree
 
 SQRT6 = math.sqrt(6.0)
 
@@ -459,8 +463,38 @@ class TestCotreeRoute:
         assert twins == {(3.0, 1, 0.0), (2.0, 2, 0.0)}
 
 
+def reference_main_count(t) -> int:
+    """The main count as the Krylov rank of the r x r integer bag quotient B
+    (diagonal p + t - 1 on a J-bag and p on a U-bag, entry (i, j) t_j when
+    bags i and j are adjacent), with B read off ``bags(t)``."""
+    b = bags(t)
+    sizes = [bag.t for bag in b.bags]
+    diag = [bag.p + bag.t - 1 if bag.kind == JOIN else bag.p for bag in b.bags]
+    adjacency = b.z.tolist()
+    basis: list[tuple[int, list[int]]] = []
+    v = [1] * b.r
+    while True:
+        for pivot, row in basis:
+            if v[pivot]:
+                g = math.gcd(row[pivot], v[pivot])
+                a, c = row[pivot] // g, v[pivot] // g
+                v = [a * x - c * y for x, y in zip(v, row)]
+        g = math.gcd(*v)
+        if g == 0:
+            return len(basis)
+        v = [x // g for x in v]
+        basis.append((next(i for i, x in enumerate(v) if x), v))
+        weighted = [size * x for size, x in zip(sizes, v)]
+        v = [d * x + sum(compress(weighted, adjacent)) for d, x, adjacent in zip(diag, v, adjacency)]
+
+
+def found_tree() -> Internal:
+    """J over 1,000 nodes U(i % 7 + 1, J(i % 5 + 2)): 2,000 bags, 70 positions of its class tree."""
+    return Internal(JOIN, tuple(parse(f"U({i % 7 + 1},J({i % 5 + 2}))") for i in range(1000)))
+
+
 class TestMainCountExact:
-    """The Krylov rank of the integer bag quotient counts the mains that the
+    """The Krylov rank on the symmetry-class tree counts the mains that the
     float routes flag, and keeps counting where their tolerance drops one."""
 
     def test_matches_cotree_route_up_to_10(self):
@@ -494,10 +528,60 @@ class TestMainCountExact:
         assert main_count_exact(t) == 3
 
     def test_bags_input_and_leaf(self):
-        for s in ("J(1,U(2,K(3)))", "U(2*K(3))", "J(E(2),E(3))", "U(1,J(2))"):
-            t = parse(s)
-            assert main_count_exact(bags(t)) == main_count_exact(t), s
-        assert main_count_exact(Leaf()) == main_count_exact(bags(Leaf())) == 1
+        # main_count_exact takes a cotree only; the one-leaf tree has one main
+        assert main_count_exact(Leaf()) == 1
+
+
+class TestMainCountOnClassTree:
+    """The class-tree count equals the bag-quotient count of ``reference_main_count``."""
+
+    def test_matches_bag_quotient_up_to_10(self):
+        count = 0
+        for n in range(1, 11):
+            for s in enumerate_cographs(n).strings:
+                t = parse(s)
+                assert main_count_exact(t) == reference_main_count(t), s
+                count += 1
+        assert count == 6965
+
+    def test_matches_bag_quotient_on_random_unnormalized_trees(self):
+        rng = random.Random(11)  # the trees of TestWalksPinned
+        for _ in range(3000):
+            t = random_cotree(rng, rng.randint(1, 12), {})
+            assert main_count_exact(t) == reference_main_count(t), repr(t)
+
+    def test_matches_bag_quotient_on_default_grids_and_kc_joins(self):
+        for specs in default_grids().values():
+            for spec in specs:
+                t = build_cotree(spec)
+                label = str(spec.to_json_dict())
+                assert main_count_exact(t) == reference_main_count(t), label
+                for c in (1, 2, 3):
+                    joined = Internal(JOIN, (Leaf(),) * c + (t,))
+                    assert main_count_exact(joined) == reference_main_count(joined), (c, label)
+
+    def test_found_tree_pinned(self):
+        # k = 63 from the bag quotient (r = 2,000); the class tree has 70 positions
+        t = found_tree()
+        start = time.perf_counter()
+        assert main_count_exact(t) == 63
+        assert time.perf_counter() - start < 2.0
+
+    def test_builds_no_bags(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("bags called")
+
+        for target in ("qcograph.spectra.bags", "qcograph.cotree.bags", "qcograph.cotree._walk"):
+            monkeypatch.setattr(target, refuse)
+        assert main_count_exact(parse("J(1,U(E(2),K(500)))")) == 3
+        assert main_count_exact(found_tree()) == 63
+
+    def test_more_bag_classes_than_the_limit_are_refused(self):
+        # J(a leaves, E(b)) for 64 x 64 pairs (a, b): 8,192 bags, each its own class
+        pairs = [(a, b) for a in range(1, 65) for b in range(2, 66)]
+        parts = [Internal(JOIN, (Leaf(),) * a + (Internal(UNION, (Leaf(),) * b),)) for a, b in pairs]
+        with pytest.raises(ValueError, match=f"r = 8192 bag classes exceeds the limit of {MAX_EDGE_LIST_N}"):
+            main_count_exact(Internal(UNION, tuple(parts)))
 
 
 class TestToleranceValidation:
