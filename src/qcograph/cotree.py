@@ -55,7 +55,7 @@ class Leaf:
 @dataclass(frozen=True)
 class Internal:
     """A U or J node. Three facts are derived from the children alone, without
-    recursion, and take no part in ``==``, ``hash`` or ``repr``:
+    recursion, and take no part in ``==`` or ``hash``:
 
     - ``normal``: at least two children, each a leaf or a normal node of the
       other kind;
@@ -87,6 +87,45 @@ class Internal:
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "degree", shift + n if join and shift is not None else shift)
+
+    def __repr__(self) -> str:
+        """``Internal(n=<leaves>, <DSL>)``: the tree as ``parse`` reads it, a
+        run of leaves as their count and a run of one repeated child as
+        ``k*expr``. It is written top-down with an explicit stack and cut
+        after _REPR_LIMIT characters, and each run is scanned once, so a deep
+        or widely shared tree prints in bounded time and space."""
+        ends: dict[tuple[int, int], int] = {}  # (id(node), i) -> end of the run that starts at child i
+        out, size, stack = [], 0, [(self, 0)]
+        while stack and size < _REPR_LIMIT:
+            node, i = stack.pop()
+            kids = node.children
+            if i == len(kids):
+                out.append(")")
+                size += 1
+                continue
+            c, j = kids[i], ends.get((id(node), i))
+            if j is None:
+                j = i + 1
+                if isinstance(c, Leaf):
+                    while j < len(kids) and isinstance(kids[j], Leaf):
+                        j += 1
+                else:
+                    while j < len(kids) and kids[j] is c:
+                        j += 1
+                ends[id(node), i] = j
+            stack.append((node, j))
+            if isinstance(c, Leaf):
+                item = str(j - i)
+            else:
+                stack.append((c, 0))
+                item = f"{j - i}*" if j > i + 1 else ""
+            out.append(("," if i else f"{node.kind}(") + item)
+            size += len(out[-1])
+        text = "".join(out)
+        return f"Internal(n={self.n}, {text[:_REPR_LIMIT] + '...' if stack else text})"
+
+
+_REPR_LIMIT = 4096  # characters of DSL text in the repr of an Internal
 
 
 Cotree = Leaf | Internal

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -200,64 +201,37 @@ class QSpectrumReport:
         }
 
 
-def _group_indices(values: list[float], tol: float) -> list[tuple[int, int]]:
-    """Half-open index ranges for eigenvalue groups split at gaps above tol."""
-    spans = []
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol:
-            spans.append((start, i))
-            start = i
-    spans.append((start, len(values)))
-    return spans
-
-
 def _grouped(
-    values: np.ndarray, vectors: np.ndarray, weights: np.ndarray, tol_group: float, tol_main: float
-) -> list[SpectrumGroup]:
+    values: np.ndarray,
+    vectors: np.ndarray,
+    weights: np.ndarray,
+    columns: range | list[int],
+    tol_group: float,
+    tol_main: float,
+) -> tuple[SpectrumGroup, ...]:
     """Group ascending eigenvalues at gaps above tol_group, largest group first.
 
-    Column i of vectors is the eigenvector of values[i] in coordinates where
-    the all-ones vector is weights; a group is main iff the projection of
-    weights onto the group's columns has norm above tol_main. A group's value
-    is its mean, summed as np.mean sums.
+    The eigenvectors of values[start:stop] that can carry projection are
+    columns columns[start]:columns[stop] of vectors, in coordinates where the
+    all-ones vector is weights; a group is main iff the projection of weights
+    onto them has norm above tol_main. A group's value is its mean, summed as
+    np.mean sums.
     """
     for name, tol in (("tol_group", tol_group), ("tol_main", tol_main)):
         if not (math.isfinite(tol) and tol >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+    spans, start, listed = [], 0, values.tolist()
+    for i in range(1, len(listed)):
+        if listed[i] - listed[i - 1] > tol_group:
+            spans.append((start, i))
+            start = i
+    spans.append((start, len(listed)))
     groups = []
-    for start, stop in _group_indices(values.tolist(), tol_group):
-        norm = _norm(vectors[:, start:stop].T @ weights)
-        groups.append(
-            SpectrumGroup(
-                value=float(values[start:stop].sum() / (stop - start)),
-                multiplicity=stop - start,
-                main=norm > tol_main,
-                projection_norm=norm,
-            )
-        )
-    groups.reverse()  # descending by value, largest (Perron) first
-    return groups
-
-
-def _report(
-    n: int,
-    values: np.ndarray,
-    vectors: np.ndarray,
-    weights: np.ndarray,
-    tol_group: float,
-    tol_main: float,
-    route: str,
-) -> QSpectrumReport:
-    groups = _grouped(values, vectors, weights, tol_group, tol_main)
-    return QSpectrumReport(
-        n=n,
-        groups=tuple(groups),
-        main_count=sum(1 for grp in groups if grp.main),
-        tol_group=tol_group,
-        tol_main=tol_main,
-        route=route,
-    )
+    for start, stop in reversed(spans):  # descending by value, largest (Perron) first
+        norm = _norm(vectors[:, columns[start] : columns[stop]].T @ weights)
+        value = float(values[start:stop].sum() / (stop - start))
+        groups.append(SpectrumGroup(value=value, multiplicity=stop - start, main=norm > tol_main, projection_norm=norm))
+    return tuple(groups)
 
 
 def q_spectrum(
@@ -277,7 +251,8 @@ def q_spectrum(
     if tol_main is None:
         tol_main = default_tol_main(g.n)
     dec = jacobi_eigh(q)
-    return _report(g.n, dec.values, dec.vectors, np.ones(g.n), tol_group, tol_main, "dense")
+    groups = _grouped(dec.values, dec.vectors, np.ones(g.n), range(g.n + 1), tol_group, tol_main)
+    return QSpectrumReport(g.n, groups, sum(grp.main for grp in groups), tol_group, tol_main, "dense")
 
 
 def q_spectrum_cotree(
@@ -291,8 +266,11 @@ def q_spectrum_cotree(
     to the all-ones vector. On the bag-constant complement Q acts as the
     condensed matrix C, with the weight vector s in place of the all-ones
     vector. So spec(Q) = spec(C) plus each bag's twin value t - 1 times, and
-    only C's eigenvectors carry projection norm. The defaults equal the dense
-    ones: the infinity norm of Q is twice the largest degree.
+    only C's eigenvectors carry projection norm: the twin values are carried
+    as values, with no eigenvector built for them, and a group's projection
+    is that of the weight vector onto the columns of C's eigenvectors in the
+    group alone, so the report costs O(r^2 + n) memory. The defaults equal
+    the dense ones: the infinity norm of Q is twice the largest degree.
     """
     b = t if isinstance(t, BagRepresentation) else bags(t)
     c = condensed(b)
@@ -304,10 +282,12 @@ def q_spectrum_cotree(
     dec = jacobi_eigh(c.entries)
     twins = [bag.p - 1 if bag.kind == JOIN else bag.p for bag in b.bags for _ in range(bag.t - 1)]
     values = np.concatenate([dec.values, np.array(twins, dtype=float)])
-    # twin eigenvectors are orthogonal to the all-ones vector: zero columns
-    vectors = np.hstack([dec.vectors, np.zeros((b.r, len(twins)))])
     order = np.argsort(values, kind="stable")
-    return _report(n, values[order], vectors[:, order], c.weights, tol_group, tol_main, "cotree")
+    # dec's values keep their order in the sort, so those in a span of the
+    # sorted values are a span of dec's columns: before[i] of them precede i
+    before = list(accumulate(map(b.r.__gt__, order.tolist()), initial=0))
+    groups = _grouped(values[order], dec.vectors, c.weights, before, tol_group, tol_main)
+    return QSpectrumReport(n, groups, sum(grp.main for grp in groups), tol_group, tol_main, "cotree")
 
 
 def main_count_exact(t: Cotree) -> int:
@@ -406,7 +386,8 @@ def main_eigs_condensed(c: CondensedMatrix) -> list[tuple[float, bool]]:
     """
     n = round(c.weights.dot(c.weights))
     dec = jacobi_eigh(c.entries)
-    groups = _grouped(dec.values, dec.vectors, c.weights, default_tol_group(c.entries), default_tol_main(n))
+    tols = default_tol_group(c.entries), default_tol_main(n)
+    groups = _grouped(dec.values, dec.vectors, c.weights, range(c.r + 1), *tols)
     return [(grp.value, grp.main) for grp in groups]
 
 

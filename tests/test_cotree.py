@@ -702,10 +702,7 @@ class TestNormalFlag:
 
     def test_repr_hash_and_equality_ignore_the_flag(self):
         t = parse("J(1,U(2,K(2)))")
-        assert repr(t) == (
-            "Internal(kind='J', children=(Leaf(), Internal(kind='U', children="
-            "(Leaf(), Leaf(), Internal(kind='J', children=(Leaf(), Leaf()))))))"
-        )
+        assert repr(t) == "Internal(n=5, J(1,U(2,J(2))))"
         assert hash(t) == hash((t.kind, t.children))
         lone = Internal(UNION, (Leaf(),))
         assert not lone.normal and lone == Internal(UNION, (Leaf(),))
@@ -786,11 +783,44 @@ class TestNodeFacts:
         assert (Leaf.n, Leaf.degree) == (1, 0) and repr(Leaf()) == "Leaf()"
         t, k = parse("J(1,U(2,K(2)))"), parse("U(2*K(3))")
         assert (t.n, t.degree, k.n, k.degree) == (5, None, 6, 2)
-        assert repr(k) == (
-            "Internal(kind='U', children=(Internal(kind='J', children=(Leaf(), Leaf(), Leaf())), "
-            "Internal(kind='J', children=(Leaf(), Leaf(), Leaf()))))"
-        )
+        assert repr(k) == "Internal(n=6, U(2*J(3)))"
         assert hash(t) == hash((t.kind, t.children)) and hash(k) == hash((k.kind, k.children))
         assert k == Internal(UNION, k.children) and k != Internal(JOIN, k.children)
         derived = [f.name for f in fields(Internal) if not (f.init or f.repr or f.compare or f.hash)]
         assert derived == ["normal", "n", "degree"]
+
+
+class TestRepr:
+    """repr(Internal) writes the tree in DSL form, top-down and cut at a
+    fixed length, so a shared or deep tree prints in bounded time."""
+
+    @staticmethod
+    def dsl(t: Internal) -> str:
+        text = repr(t)
+        head = f"Internal(n={t.n}, "
+        assert text.startswith(head) and text.endswith(")")
+        return text[len(head) : -1]
+
+    def test_dsl_parses_back_to_the_tree(self):
+        count = 0
+        for n in range(2, 9):
+            for s in enumerate_cographs(n).strings:
+                for t in (parse(s), from_graph(to_graph(parse(s)))):
+                    assert parse(self.dsl(t)) == t, s
+                count += 1
+        assert count == 808
+        assert repr(Internal(UNION, (Leaf(),))) == "Internal(n=1, U(1))"
+
+    def test_shared_and_deep_trees_print_bounded(self):
+        wide = parse("U(1000*J(1000*U(2)))")
+        chain: Cotree = Leaf()
+        for i in range(3000):
+            chain = Internal(JOIN if i % 2 else UNION, (Leaf(), chain))
+        texts = []
+        for t in (wide, chain):
+            start = time.perf_counter()
+            texts.append(repr(t))
+            elapsed = time.perf_counter() - start
+            assert elapsed < 1.0 and len(texts[-1]) < 10_000, (elapsed, len(texts[-1]))
+        assert texts[0] == "Internal(n=2000000, U(1000*J(1000*U(2))))"
+        assert texts[1].startswith("Internal(n=3001, J(1,U(1,J(1,U(1,") and texts[1].endswith("...)")

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -186,3 +188,87 @@ class TestEdgeListFormat:
     @given(graphs(min_n=1, max_n=7))
     def test_round_trip_random(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4 3\n0 1\n2 2\nx 3\n", "line 3: self-loop at 2"),
+            ("4 3\n0 1\n1 x\n0 1\n", "line 3: endpoints must be integers"),
+            ("4 3\n0 1\n0 1\n3 2\n", "line 3: duplicate edge (0, 1)"),
+            ("4 3\n0 5\n0 1 2\n0 1\n", "line 2: edge (0, 5) violates 0 <= u < v < n"),
+            ("4 3\n\n0 1 2\n\n1 1\n2 3\n", "line 3: expected 'u v'"),
+            (
+                "4 3\n0 1\n0 99999999999999999999\n1 1\n",
+                "line 3: edge (0, 99999999999999999999) violates 0 <= u < v < n",
+            ),
+            ("4 3\n1 2\n3 1\n1 2\n", "line 3: edge (3, 1) violates 0 <= u < v < n"),
+        ],
+    )
+    def test_two_faults_report_the_earlier_line(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
+
+    def test_matches_per_line_reference(self):
+        # random edge lists with a few lines corrupted: the same graph, or
+        # the same message for the same first bad line, as a line-by-line parse
+        rng = random.Random(5)
+        junk = ["x", "-1", "+2", "1_0", "007", "1.0", "99999999999999999999", "-99999999999999999999", "\t", "3 4"]
+        for _ in range(3000):
+            n = rng.choice([0, 1, 2, 3, 5, 8])
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            lines = [f"{u} {v}" for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+            for _ in range(rng.choice([0, 1, 2, 3])):
+                k = rng.randrange(len(lines) + 1)
+                copy = rng.choice(lines) if lines else ""
+                lines.insert(k, rng.choice([f"{rng.randrange(-1, n + 2)} {rng.randrange(-1, n + 2)}", copy, "", " "]))
+                if lines and rng.random() < 0.5:
+                    k = rng.randrange(len(lines))
+                    bad = [lines[k] + rng.choice(junk), rng.choice(junk) + " " + lines[k], lines[k][::-1]]
+                    lines[k] = rng.choice(bad)
+            m = sum(1 for ln in lines if ln.strip()) + rng.choice([0, 0, 0, 1])
+            text = f"{n} {m}" + rng.choice(["\n", "\r\n"]) + "\n".join(lines) + "\n"
+            try:
+                want = reference_parse_edge_list(text)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    parse_edge_list(text)
+                assert str(err.value) == str(exc), text
+            else:
+                assert parse_edge_list(text) == want, text
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """parse_edge_list line by line: each line's checks in order, and the
+    duplicate check read off the adjacency built so far."""
+    numbered = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    if not numbered:
+        raise ValueError("empty edge-list input")
+    (lineno, header), body = numbered[0], numbered[1:]
+    if len(header.split()) != 2:
+        raise ValueError(f"line {lineno}: header must be 'n m'")
+    try:
+        n, m = map(int, header.split())
+    except ValueError:
+        raise ValueError(f"line {lineno}: header must be two integers") from None
+    if n < 0 or m < 0:
+        raise ValueError("n and m must be non-negative")
+    if len(body) != m:
+        raise ValueError(f"expected {m} edge lines, found {len(body)}")
+    a = np.zeros((n, n), dtype=bool)
+    for lineno, ln in body:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: endpoints must be integers") from None
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at {u}")
+        if not (0 <= u < v < n):
+            raise ValueError(f"line {lineno}: edge ({u}, {v}) violates 0 <= u < v < n")
+        if a[u, v]:
+            raise ValueError(f"line {lineno}: duplicate edge ({u}, {v})")
+        a[u, v] = a[v, u] = True
+    return Graph(a)

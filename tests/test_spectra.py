@@ -270,9 +270,8 @@ def assert_bit_identical(matrix: np.ndarray, weights: np.ndarray, label: str) ->
     got = jacobi_eigh(matrix)
     assert np.array_equal(got.values, want.values) and np.array_equal(got.vectors, want.vectors), label
     tols = (default_tol_group(matrix), default_tol_main(matrix.shape[0]))
-    assert _grouped(want.values, want.vectors, weights, *tols) == reference_grouped(
-        want.values, want.vectors, weights, *tols
-    ), label
+    groups = _grouped(want.values, want.vectors, weights, range(len(weights) + 1), *tols)
+    assert list(groups) == reference_grouped(want.values, want.vectors, weights, *tols), label
 
 
 class TestBitIdentity:
@@ -461,6 +460,33 @@ class TestCotreeRoute:
         rep = q_spectrum_cotree(parse("J(2,U(3))"))
         twins = {(grp.value, grp.multiplicity, grp.projection_norm) for grp in rep.groups if not grp.main}
         assert twins == {(3.0, 1, 0.0), (2.0, 2, 0.0)}
+
+    def test_twin_heavy_report(self):
+        # r = 2,000 bags of 500 twins: the 998,000 twin values are carried as
+        # values, with no eigenvector column built for them
+        start = time.perf_counter()
+        rep = q_spectrum_cotree(parse("U(2000*K(500))"))
+        elapsed = time.perf_counter() - start
+        got = [(grp.value, grp.multiplicity, grp.main) for grp in rep.groups]
+        assert got == [(998.0, 2000, True), (498.0, 998000, False)]
+        assert rep.groups[1].projection_norm == 0.0 and rep.main_count == 1
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
+
+    @pytest.mark.parametrize("expr", ["U(J(2),J(2,U(1,J(2))))", "U(2,J(1,U(2,J(1,U(2)))))", "U(2,J(3,U(1,J(2))))"])
+    def test_mixed_groups_match_dense(self, expr):
+        # groups that hold condensed and twin values take their projection
+        # from the condensed columns alone; groups of twin values alone read 0
+        t = parse(expr)
+        rep, dense = q_spectrum_cotree(t), q_spectrum(to_graph(t))
+        condensed_values = jacobi_eigh(condensed(bags(t)).entries).values
+        kinds = set()
+        for grp, want in zip(rep.groups, dense.groups, strict=True):
+            inside = int(np.sum(np.abs(condensed_values - grp.value) <= rep.tol_group))
+            assert abs(grp.projection_norm - want.projection_norm) <= 1e-12, (grp, want)
+            if inside == 0:
+                assert grp.projection_norm == 0.0 and not grp.main, grp
+            kinds.add("twin" if inside == 0 else "condensed" if inside == grp.multiplicity else f"mixed {grp.main}")
+        assert kinds == {"twin", "condensed", "mixed True", "mixed False"}, kinds
 
 
 def reference_main_count(t) -> int:
