@@ -354,7 +354,8 @@ class _Parser:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII only: a digit such as "²" passes str.isdigit but not int()
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")

@@ -47,6 +47,32 @@ class InternalContradiction(RuntimeError):
     """A structural guarantee failed; something believed impossible happened."""
 
 
+# cells of find_induced's scan per block: a block's codes and their bytes
+# copies stay near 4 MB each
+_SCAN_CELLS = 1 << 22
+
+
+def _pattern_table(profile: list[int]) -> bytes:
+    """Hit byte (1 or 0) per code of a 4-subset a < b < c < d whose induced
+    degrees, sorted, are profile; as a bytes.translate table.
+
+    The code packs the six adjacencies as bits ab ac bc ad bd cd, from bit 5
+    down to bit 0; codes 64..255 mark (c, d) pairs outside the scan.
+    """
+    table = bytearray(256)
+    for code in range(64):
+        ab, ac, bc, ad, bd, cd = ((code >> k) & 1 for k in range(5, -1, -1))
+        degrees = sorted((ab + ac + ad, ab + bc + bd, ac + bc + cd, ad + bd + cd))
+        table[code] = degrees == profile
+    return bytes(table)
+
+
+_TABLES = {
+    pattern: _pattern_table(profile)
+    for pattern, profile in (("P4", [1, 1, 2, 2]), ("C4", [2, 2, 2, 2]), ("2K2", [1, 1, 1, 1]))
+}
+
+
 def find_induced(g: Graph, pattern: str) -> tuple[int, int, int, int] | None:
     """First 4-tuple (lexicographic over 4-subsets) inducing P4, C4 or 2K2.
 
@@ -54,46 +80,38 @@ def find_induced(g: Graph, pattern: str) -> tuple[int, int, int, int] | None:
     (1,1,2,2) with 3 edges, C4 is 2-regular with 4 edges, 2K2 has 2 edges
     all of degree 1. P4 witnesses come back in path order.
 
-    The scan runs per (a, b) prefix with the (c, d) tail vectorized, which
-    preserves the lexicographic order of the full 4-subset scan.
+    The scan runs per a over blocks of consecutive b, each block one uint8
+    array over (b, c, d) with c and d in the tail after the block's first b:
+    a cell's code is the sum of a (b, c) term (ab, ac, bc), a (b, d) term
+    (ad, bd) and the (c, d) adjacency, looked up in the pattern's table.
+    Cells with c <= b or d <= c carry 64 in their terms, which the table
+    maps to no hit, so the first hit in C order is the first 4-subset in
+    lexicographic order. bytes.translate maps a block's codes through the
+    table in one C pass and bytes.find returns the first hit.
     """
-    if pattern not in ("P4", "C4", "2K2"):
+    if pattern not in _TABLES:
         raise ValueError(f"unknown pattern {pattern!r}")
     n = g.n
     if n < 4:
         return None
-    adj = g.adj
-    bits = adj.astype(np.int8)
+    table = _TABLES[pattern]
+    bits = g.adj.astype(np.uint8)
+    pair = np.where(np.tri(n, dtype=bool), np.uint8(64), bits)  # cd, or 64 where d <= c
     for a in range(n - 3):
-        for b in range(a + 1, n - 2):
-            cs, ds = np.triu_indices(n - b - 1, k=1)
-            cs = cs + b + 1
-            ds = ds + b + 1
-            ab = int(bits[a, b])
-            ac = bits[a, cs]
-            ad = bits[a, ds]
-            bc = bits[b, cs]
-            bd = bits[b, ds]
-            cd = bits[cs, ds]
-            da = ab + ac + ad
-            db = ab + bc + bd
-            dc = ac + bc + cd
-            dd = ad + bd + cd
-            edges = (da + db + dc + dd) >> 1
-            degs = np.stack([da, db, dc, dd])
-            if pattern == "P4":
-                hit = (edges == 3) & (degs.max(axis=0) == 2) & (degs.min(axis=0) == 1)
-            elif pattern == "C4":
-                hit = (edges == 4) & (degs.max(axis=0) == 2) & (degs.min(axis=0) == 2)
-            else:  # 2K2
-                hit = (edges == 2) & (degs.max(axis=0) == 1)
-            if not hit.any():
-                continue
-            i = int(np.argmax(hit))
-            quad = (a, b, int(cs[i]), int(ds[i]))
-            if pattern != "P4":
-                return quad
-            return _order_as_path(g, quad)
+        b = a + 1
+        while b < n - 2:
+            m = n - b - 1  # the tail: vertices b + 1 .. n - 1
+            stop = min(n - 2, b + max(1, _SCAN_CELLS // (m * m)))
+            kinds = 2 * bits[a, b + 1 :] + bits[b:stop, b + 1 :]  # 2ac + bc per (b, c)
+            left = 32 * bits[a, b:stop, None] + 8 * kinds + np.tri(stop - b, m, -1, dtype=np.uint8) * 64
+            code = left[:, :, None] + (2 * kinds)[:, None, :]
+            code += pair[b + 1 :, b + 1 :]
+            first = code.tobytes().translate(table).find(1)
+            if first >= 0:
+                i, j = divmod(first, m * m)
+                quad = (a, b + i, b + 1 + j // m, b + 1 + j % m)
+                return _order_as_path(g, quad) if pattern == "P4" else quad
+            b = stop
     return None
 
 

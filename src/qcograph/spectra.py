@@ -62,9 +62,21 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     Frobenius norm drops below 1e-12 of the matrix norm. Deterministic:
     fixed sweep order, no pivot search. The input must be finite and exactly
     symmetric (ValueError otherwise): each rotation writes rows p and q as
-    the transpose of the rotated columns p and q.
+    the transpose of the rotated columns p and q, so A stays exactly
+    symmetric.
+
+    A and the accumulated rotations V are kept transposed, as one n x 2n
+    C-contiguous work array W whose row j is column j of A followed by column
+    j of V. A rotation turns rows p and q of W with one np.dot(rot.T, W[pq])
+    and copies the first n columns back as rows p and q of A; scalars go
+    through a flat memoryview of W. Each element is c*x - s*y or s*x + c*y
+    of the same two entries as in the column form (A over V) @ rot, and
+    OpenBLAS rounds the transposed 2 x 2n product element for element as it
+    rounds the 2n x 2 one, so the output is the column form's, bit for bit.
+    The tests pin that against a reference that does the matmul; CI runs
+    them with one BLAS thread too, as the benchmark runs.
     """
-    a = np.array(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)  # read only: W gets the copy
     n = a.shape[0]
     if n == 0 or a.shape != (n, n):
         raise ValueError(f"need a non-empty square matrix, got shape {a.shape}")
@@ -72,17 +84,23 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
         raise ValueError("need a finite matrix, got a NaN or infinite entry")
     if not (a == a.T).all():
         raise ValueError("need an exactly symmetric matrix")
-    av = np.vstack([a, np.eye(n)])  # A over V: one matmul per rotation turns both
-    a, v = av[:n], av[n:]
     # the diagonal as Python floats: a rotation changes only a[p, p] and
     # a[q, q], and writes both from here
     diag = a.diagonal().tolist()
     norm = _norm(a)
+    width = 2 * n
+    w = np.eye(n, width, n)  # W = [A^T | V^T], with V = I to start
+    w[:, :n] = a
+    a = w[:, :n]  # A^T, which is A
     if norm == 0.0 or n == 1:
-        return _sorted_decomposition(diag, v)
-    rot = np.empty((2, 2))
-    cols = np.empty((2 * n, 2))  # rotated columns p and q of A over V
-    rows = cols.T[:, :n]  # rows p and q of A: off the 2x2 block they equal the rotated columns
+        return _sorted_decomposition(diag, w[:, n:])
+    flat = memoryview(w.reshape(-1))  # w[i, j] is flat[i * width + j]
+    rot = np.empty((2, 2))  # [[c, s], [-s, c]]
+    r = memoryview(rot.reshape(-1))
+    rot_t = rot.T
+    turned = np.empty((2, width))  # rows p and q of W, rotated
+    turned_a = turned[:, :n].T  # as columns p and q of A
+    views = {}  # by the flat index of (p, q): rows p and q of W, and columns p and q of A
     tol = _CONVERGENCE * norm
     # if every rotation in a sweep falls below this, the off-diagonal norm
     # is already below tol, so skipping them cannot stall convergence
@@ -91,11 +109,12 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
         off = a.flatten()
         off[:: n + 1] = 0.0  # the diagonal
         if _norm(off) <= tol:
-            return _sorted_decomposition(diag, v)
+            return _sorted_decomposition(diag, w[:, n:])
         for p in range(n - 1):
             app = diag[p]
+            row_p = p * width
             for q in range(p + 1, n):
-                apq = a.item(p, q)
+                apq = flat[row_p + q]
                 if abs(apq) <= skip:
                     continue
                 aqq = diag[q]
@@ -103,18 +122,21 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
                 t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rot[0, 0] = rot[1, 1] = c
-                rot[0, 1] = s
-                rot[1, 0] = -s
-                pq = slice(p, q + 1, q - p)
-                both = av[:, pq]  # columns p and q of A over V as one view
-                np.matmul(both, rot, cols)  # out=cols: the product both @ rot, written in place
-                both[...] = cols
-                a[pq, :] = rows
+                r[0] = r[3] = c
+                r[1] = s
+                r[2] = -s
+                pair = views.get(row_p + q)
+                if pair is None:
+                    pq = slice(p, q + 1, q - p)
+                    pair = views[row_p + q] = (w[pq], w[:, pq])
+                rows, cols = pair
+                np.dot(rot_t, rows, turned)  # out=turned: rot.T @ rows, written in place
+                rows[...] = turned
+                cols[...] = turned_a
                 app, aqq = app - t * apq, aqq + t * apq
-                diag[p] = a[p, p] = app
-                diag[q] = a[q, q] = aqq
-                a[p, q] = a[q, p] = 0.0
+                diag[p] = flat[row_p + p] = app
+                diag[q] = flat[q * width + q] = aqq
+                flat[row_p + q] = flat[q * width + p] = 0.0
     raise SolverError(f"Jacobi sweep cap ({_MAX_SWEEPS}) exceeded for order {n}")
 
 
@@ -124,10 +146,12 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _sorted_decomposition(values: list[float], vectors: np.ndarray) -> EigenDecomposition:
+def _sorted_decomposition(values: list[float], vectors_t: np.ndarray) -> EigenDecomposition:
+    """Values ascending (stable), with the eigenvectors given as the rows of
+    vectors_t returned as columns (the F-contiguous transpose of a copy)."""
     values = np.array(values)
     order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=vectors[:, order])
+    return EigenDecomposition(values=values[order], vectors=vectors_t[order].T)
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:

@@ -77,6 +77,13 @@ class TestParser:
             parse("J(2,,3)")
         assert exc.value.offset == 4
 
+    def test_rejects_non_ascii_digits(self):
+        # "²" passes str.isdigit, but only ASCII digits make an integer
+        for text in ("U(²)", "K(²)", "U(٣)"):
+            with pytest.raises(CotreeSyntaxError, match="expected an integer") as exc:
+                parse(text)
+            assert exc.value.offset == 2
+
     def test_rejects_empty_node(self):
         with pytest.raises(CotreeSyntaxError):
             parse("U()")

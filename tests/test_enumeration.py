@@ -32,6 +32,11 @@ class TestEnumerate:
             for s in enumerate_cographs(n).strings:
                 assert canonical_string(parse(s)) == s
 
+    def test_strings_are_the_canonical_strings_of_the_trees(self):
+        for n in range(1, ENUMERATION_CAP + 1):
+            want = tuple(sorted({canonical_string(t) for t in enumerate_cotrees(n)}))
+            assert enumerate_cographs(n).strings == want
+
     def test_leaf_counts(self):
         for n in range(1, 8):
             assert all(t.n == n for t in enumerate_cotrees(n))

@@ -341,6 +341,10 @@ class TestCli:
         assert main(["spectrum", "--cotree", "J(2,,3)"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_ascii_digit_usage_error(self, capsys):
+        assert main(["spectrum", "--cotree", "U(²)"]) == 2
+        assert "expected an integer (at offset 2)" in capsys.readouterr().err
+
     def test_bad_family_json(self, capsys):
         assert main(["build", "--family", "{not json"]) == 2
 

@@ -31,7 +31,7 @@ from qcograph.spectra import (
     report_to_json,
     signless_laplacian,
 )
-from test_cotree import random_cotree
+from test_cotree import alternating, random_cotree
 
 SQRT6 = math.sqrt(6.0)
 
@@ -300,6 +300,18 @@ class TestBitIdentity:
             m = rng.normal(size=(n, n))
             m = m + m.T
             assert_bit_identical(m, rng.normal(size=n), f"random {n}")
+
+    def test_seeded_random_symmetric_wider(self):
+        rng = np.random.default_rng(2026)
+        for n in range(41, 65):
+            m = rng.normal(size=(n, n))
+            m = m + m.T
+            assert_bit_identical(m, rng.normal(size=n), f"random {n}")
+
+    def test_condensed_of_the_64_deep_alternating_chain(self):
+        c = condensed(bags(parse(alternating(64))))
+        assert c.r == 64
+        assert_bit_identical(c.entries, c.weights, "alternating 64")
 
     @pytest.mark.parametrize(
         "matrix", [np.zeros((4, 4)), np.array([[2.5]]), np.zeros((1, 1))], ids=["zero", "1x1", "zero-1x1"]
