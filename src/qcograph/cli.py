@@ -37,16 +37,22 @@ class UsageError(ValueError):
     pass
 
 
+def _read_json_file(path: str):
+    """The JSON value in a file; a file that does not parse is a usage error naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_json_arg(value: str):
     """Accept inline JSON or a path to a JSON file."""
-    text = value
     try:
-        return json.loads(text)
+        return json.loads(value)
     except json.JSONDecodeError:
         pass
-    path = Path(value)
-    if path.exists():
-        return json.loads(path.read_text())
+    if Path(value).exists():
+        return _read_json_file(value)
     raise UsageError(f"not valid JSON and not an existing file: {value!r}")
 
 
@@ -54,7 +60,7 @@ def _load_config(path: str | None, command: str, allowed: set[str]) -> dict:
     """The config file's settings; a key the command does not use is a usage error."""
     if path is None:
         return {}
-    cfg = json.loads(Path(path).read_text())
+    cfg = _read_json_file(path)
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
     unknown = set(cfg) - allowed
@@ -63,8 +69,9 @@ def _load_config(path: str | None, command: str, allowed: set[str]) -> dict:
     for key in ("tol_group", "tol_main"):
         if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float))):
             raise UsageError(f"config {key} must be a number, got {cfg[key]!r}")
-    if "sweep_cap" in cfg and (isinstance(cfg["sweep_cap"], bool) or not isinstance(cfg["sweep_cap"], int)):
-        raise UsageError(f"config sweep_cap must be an integer, got {cfg['sweep_cap']!r}")
+    cap = cfg.get("sweep_cap", SWEEP_CAP)
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise UsageError(f"config sweep_cap must be an integer >= 1, got {cap!r}")
     return cfg
 
 

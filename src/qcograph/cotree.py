@@ -11,7 +11,7 @@ normal tree, and then reads ``node.children`` and these facts directly.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -446,21 +446,30 @@ def normalize(t: Cotree) -> Cotree:
     return done[id(t)]
 
 
-_LEAF = (1, "J(1)", Leaf())
+_LEAF = (1, "J(1)", Leaf())  # the canonical record of a leaf
+_SIZE, _STRING, _TREE, _SIZE_STRING = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(0, 1)
+
+
+def _canonical_node(kind: str, n: int, subs, with_tree: bool = True) -> tuple:
+    """The canonical record (leaf count, string, tree or None unless
+    with_tree) of a normal node of this kind with n leaves, over its
+    children's records. Children are ordered by (leaf count, string), so
+    leaves, the only children with one leaf, come first and are written as
+    their number: the string is ``kind(<leaves>,<child strings>...)``."""
+    subs = sorted(subs, key=_SIZE_STRING)
+    leaves = bisect_right(subs, 1, key=_SIZE)
+    parts = [str(leaves)] * (leaves > 0) + list(map(_STRING, subs[leaves:]))
+    tree = Internal(kind, tuple(map(_TREE, subs))) if with_tree else None
+    return n, f"{kind}({','.join(parts)})", tree
 
 
 def _canon(t: Cotree, with_tree: bool) -> tuple:
-    """(leaf count, canonical string, canonical tree or None unless with_tree)
-    of the normal form of t. Children are ordered by (leaf count, string), so
-    leaves come first."""
+    """The canonical record of the normal form of t (see ``_canonical_node``)."""
     t = normalize(t)
     done: dict[int, tuple] = {}
     for node in _post_order(t):
-        subs = sorted((done.get(id(c), _LEAF) for c in node.children), key=itemgetter(0, 1))
-        leaves = subs.count(_LEAF)
-        parts = [str(leaves)] * (leaves > 0) + [rec[1] for rec in subs[leaves:]]
-        tree = Internal(node.kind, tuple(rec[2] for rec in subs)) if with_tree else None
-        done[id(node)] = node.n, f"{node.kind}({','.join(parts)})", tree
+        subs = [done.get(id(c), _LEAF) for c in node.children]
+        done[id(node)] = _canonical_node(node.kind, node.n, subs, with_tree)
     return done.get(id(t), _LEAF)
 
 

@@ -60,10 +60,10 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
 
     Sweeps the strict upper triangle in row order until the off-diagonal
     Frobenius norm drops below 1e-12 of the matrix norm. Deterministic:
-    fixed sweep order, no pivot search. The input must be finite and exactly
-    symmetric (ValueError otherwise): each rotation writes rows p and q as
-    the transpose of the rotated columns p and q, so A stays exactly
-    symmetric.
+    fixed sweep order, no pivot search. The input must be finite, with a
+    finite Frobenius norm, and exactly symmetric (ValueError otherwise):
+    each rotation writes rows p and q as the transpose of the rotated
+    columns p and q, so A stays exactly symmetric.
 
     A and the accumulated rotations V are kept transposed, as one n x 2n
     C-contiguous work array W whose row j is column j of A followed by column
@@ -88,6 +88,8 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     # a[q, q], and writes both from here
     diag = a.diagonal().tolist()
     norm = _norm(a)
+    if not math.isfinite(norm):  # an infinite tol would pass the first convergence check
+        raise ValueError("need a matrix whose Frobenius norm is finite, got one that overflows")
     width = 2 * n
     w = np.eye(n, width, n)  # W = [A^T | V^T], with V = I to start
     w[:, :n] = a

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .cotree import JOIN, UNION, Cotree, Internal, Leaf, _from_graph, bags, parse, to_graph
-from .enumeration import ENUMERATION_CAP, enumerate_cographs
+from .enumeration import ENUMERATION_CAP, enumerate_cographs, enumerate_cotrees
 from .families import FamilySpec, build_cotree, default_grid, default_grids, expected_mains
 from .graph import Graph, bipartition, complement, union
 from .oracle import (
@@ -54,9 +54,9 @@ _Row = tuple[str, str, str, str, bool, float]
 
 
 def _iter_enumerated(max_n: int) -> Iterator[tuple[str, Cotree]]:
+    """Every cograph on 1..max_n vertices as (canonical string, canonical tree)."""
     for n in range(1, max_n + 1):
-        for s in enumerate_cographs(n).strings:
-            yield s, parse(s)
+        yield from zip(enumerate_cographs(n).strings, enumerate_cotrees(n))
 
 
 def _approx_subset(xs: list[float], ys: list[float]) -> float:
@@ -116,19 +116,19 @@ def _zero_main_union(max_n: int) -> Iterator[_Row]:
     """Main eigenvalues of a disjoint union are the set union of each side's;
     adding isolated vertices always makes 0 a main eigenvalue."""
     rng = random.Random(_SEED)
-    pool = [s for n in range(1, max_n + 1) for s in enumerate_cographs(n).strings]
+    pool = list(_iter_enumerated(max_n))
     cache: dict[str, tuple[Graph, list[float]]] = {}
 
-    def mains_of(s: str) -> tuple[Graph, list[float]]:
+    def mains_of(s: str, t: Cotree) -> tuple[Graph, list[float]]:
         if s not in cache:
-            g = to_graph(parse(s))
+            g = to_graph(t)
             cache[s] = (g, q_spectrum(g).main_values())
         return cache[s]
 
     for i in range(200):
-        s1, s2 = rng.choice(pool), rng.choice(pool)
-        g1, m1 = mains_of(s1)
-        g2, m2 = mains_of(s2)
+        (s1, t1), (s2, t2) = rng.choice(pool), rng.choice(pool)
+        g1, m1 = mains_of(s1, t1)
+        g2, m2 = mains_of(s2, t2)
         got = q_spectrum(union(g1, g2)).main_values()
         # collapse near-duplicates across the two sides before comparing
         merged: list[float] = []
@@ -139,8 +139,8 @@ def _zero_main_union(max_n: int) -> Iterator[_Row]:
         yield f"pair-{i}", f"{s1} | {s2}", _fmt_vals(merged), _fmt_vals(got), dist <= VALUE_TOL, dist
     for p in (1, 2, 3):
         for i in range(50):
-            s = rng.choice(pool)
-            g, _ = mains_of(s)
+            s, t = rng.choice(pool)
+            g, _ = mains_of(s, t)
             mains = q_spectrum(union(Graph.empty(p), g)).main_values()
             dist = min(abs(v) for v in mains)
             yield f"kbar-{p}-{i}", f"E({p}) | {s}", "0 is main", _fmt_vals(mains), dist <= VALUE_TOL, dist

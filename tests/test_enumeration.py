@@ -37,6 +37,13 @@ class TestEnumerate:
             want = tuple(sorted({canonical_string(t) for t in enumerate_cotrees(n)}))
             assert enumerate_cographs(n).strings == want
 
+    def test_trees_are_the_parsed_strings_in_order(self):
+        for n in range(1, 11):
+            strings, trees = enumerate_cographs(n).strings, enumerate_cotrees(n)
+            assert len(trees) == len(strings)
+            for s, t in zip(strings, trees):
+                assert t == parse(s), s
+
     def test_leaf_counts(self):
         for n in range(1, 8):
             assert all(t.n == n for t in enumerate_cotrees(n))

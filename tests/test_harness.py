@@ -104,6 +104,17 @@ class TestVerifySuites:
         mains_cases = [c for c in cases if c.case_id.startswith("h-families[mains")]
         assert all(c.passed for c in mains_cases)
 
+    def test_max_n_suites_read_the_enumerated_trees(self, monkeypatch):
+        from qcograph.verify import _SUITES
+
+        def refuse(text):
+            raise AssertionError(f"parse called on {text!r}")
+
+        monkeypatch.setattr(verify, "parse", refuse)
+        for theorem, suite in _SUITES.items():
+            if suite.max_n is not None:
+                assert run_verify(theorem, max_n=6), theorem
+
     def test_max_n_rejected_where_meaningless(self):
         with pytest.raises(ValueError, match="--max-n"):
             run_verify("spectra-closed-forms", max_n=5)
@@ -375,6 +386,30 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_sweep_cap_below_one_is_usage_error(self, tmp_path, capsys):
+        family = '{"family":"Complete","params":{"n":[1,2,3,4]}}'
+        for cap in (-1, 0):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"sweep_cap": cap}))
+            assert main(["sweep", "--family", family, "--config", str(cfg)]) == 2
+            assert "sweep_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--family", '{"family":"Complete","params":{"n":[1,2]}}', "--config", "{file}"],
+            ["spectrum", "--cotree", "J(3)", "--config", "{file}"],
+            ["build", "--family", "{file}"],
+            ["verify", "--theorem", "gcs-count", "--grid", "{file}"],
+        ],
+    )
+    def test_json_error_names_the_file(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert main([str(bad) if a == "{file}" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and err.count("\n") == 1
 
     def test_config_keys_validated(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -139,8 +139,10 @@ class TestJacobi:
             [[math.nan, 1.0], [1.0, 0.0]],
             [[0.0, math.inf], [math.inf, 0.0]],
             [[-math.inf]],
+            # finite entries whose Frobenius norm overflows; numpy warns of the overflow
+            pytest.param([[0.0, 1e200], [1e200, 0.0]], marks=pytest.mark.filterwarnings("ignore:overflow")),
         ],
-        ids=["asymmetric", "asymmetric-by-one-ulp", "nan", "inf", "inf-1x1"],
+        ids=["asymmetric", "asymmetric-by-one-ulp", "nan", "inf", "inf-1x1", "norm-overflows"],
     )
     def test_rejects_non_finite_or_asymmetric(self, matrix):
         with pytest.raises(ValueError):
