@@ -62,7 +62,7 @@ def _enumerated(n: int) -> tuple[tuple[str, ...], tuple[Cotree, ...]]:
     """The canonical strings of all cographs on n vertices, sorted, and their
     canonical trees in the same order. Generation yields one tree per
     isomorphism class, so the strings are distinct."""
-    if not 1 <= n <= ENUMERATION_CAP:
+    if isinstance(n, bool) or not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"n must be in 1..{ENUMERATION_CAP}, got {n}")
     roots = _nodes(n, JOIN) + _nodes(n, UNION) if n > 1 else (_LEAF,)
     _, strings, trees = zip(*sorted(roots, key=itemgetter(1)))

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 from .cotree import JOIN, UNION, Cotree, Internal, Leaf, _bag_count, _from_graph, complement_cotree, normalize
 from .graph import Graph, bipartition, components, induced_subgraph
-from .recognition import NotApplicable, cotree_flags, is_regular, parse_generalized_core_satellite
+from .recognition import (
+    NotApplicable,
+    SatelliteSpec,
+    _core_split,
+    cotree_flags,
+    is_regular,
+    parse_generalized_core_satellite,
+)
 from .spectra import main_count_exact
 
 __all__ = [
@@ -159,30 +166,6 @@ class MainCountPrediction:
         return {"k": self.k, "rule": self.rule, "premises": self.premises, "exact": self.exact}
 
 
-def _predict_from_satellites(n0: int, satellites: tuple[tuple[int, int], ...]) -> MainCountPrediction:
-    p = len(satellites)
-    total = sum(a for a, _ in satellites)
-    if p == 1:
-        a = satellites[0]
-        return MainCountPrediction(
-            k=2,
-            rule="CoreSatelliteP1",
-            premises=f"core K_{n0} with {a[0]} satellites all of order {a[1]}",
-        )
-    if p == 2 and all(a == 1 for a, _ in satellites):
-        orders = tuple(n for _, n in satellites)
-        return MainCountPrediction(
-            k=2,
-            rule="TwoMainFormA",
-            premises=f"core K_{n0} with exactly two satellites of distinct orders {orders}",
-        )
-    return MainCountPrediction(
-        k=p + 1,
-        rule="GcsPplus1",
-        premises=f"core K_{n0} with {total} satellites in {p} order classes",
-    )
-
-
 def predict_main_count(obj) -> MainCountPrediction:
     """Decision ladder over the structural theorems, read off one normalized
     cotree: that of a cotree, of a FamilySpec (``build_cotree``, no graph)
@@ -221,13 +204,20 @@ def predict_main_count(obj) -> MainCountPrediction:
         return MainCountPrediction(k=1, rule="Regular", premises=f"{t.degree}-regular graph")
     sat = parse_generalized_core_satellite(t)
     if sat is not None:
-        return _predict_from_satellites(sat.n0, sat.satellites)
-    rest = [c for c in t.children if isinstance(c, Internal)] if t.kind == JOIN else []
-    if 0 < len(rest) < len(t.children):
+        form, head = _two_main_form(sat), f"core K_{sat.n0} with"
+        if isinstance(form, FormB):
+            return MainCountPrediction(2, "CoreSatelliteP1", f"{head} {form.t} satellites all of order {form.a}")
+        if isinstance(form, FormA):
+            orders = (form.a, form.b)
+            return MainCountPrediction(2, "TwoMainFormA", f"{head} exactly two satellites of distinct orders {orders}")
+        total = sum(a for a, _ in sat.satellites)
+        return MainCountPrediction(sat.p + 1, "GcsPplus1", f"{head} {total} satellites in {sat.p} order classes")
+    leaves, rest = _core_split(t)
+    if leaves and rest:
         h = rest[0] if len(rest) == 1 else Internal(JOIN, tuple(rest))
         k_h = main_count_exact(h)
         if k_h >= 2:
-            head = f"K_{len(t.children) - len(rest)} joined to a remainder with {k_h} mains"
+            head = f"K_{len(leaves)} joined to a remainder with {k_h} mains"
             if zero_is_q_main(complement_cotree(h)):
                 return MainCountPrediction(k_h, "JoinKcZeroMain", f"{head}; 0 is main in its complement")
             return MainCountPrediction(k_h + 1, "JoinKcZeroNotMain", f"{head}; 0 is not main in its complement")
@@ -274,12 +264,17 @@ def predict_two_main_forms(source: Graph | Cotree) -> FormA | FormB | None:
     if not flags["is_quasi_threshold"]:
         raise NotApplicable("graph is not quasi-threshold")
     sat = parse_generalized_core_satellite(source)
-    if sat is None:
-        return None
+    return None if sat is None else _two_main_form(sat)
+
+
+def _two_main_form(sat: SatelliteSpec) -> FormA | FormB | None:
+    """The paper's two shapes of a two-main core-satellite graph: two
+    satellites of distinct orders (FormA), or t >= 2 of one order (FormB),
+    which in normal form is any lone order class; else None."""
+    if sat.p == 1:
+        t, a = sat.satellites[0]
+        return FormB(c=sat.n0, t=t, a=a)
     if sat.p == 2 and all(a == 1 for a, _ in sat.satellites):
         (_, a), (_, b) = sat.satellites
         return FormA(c=sat.n0, a=a, b=b)
-    if sat.p == 1 and sat.satellites[0][0] >= 2:
-        t, a = sat.satellites[0]
-        return FormB(c=sat.n0, t=t, a=a)
     return None

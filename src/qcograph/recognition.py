@@ -24,7 +24,6 @@ __all__ = [
     "is_regular",
     "is_complete",
     "is_connected",
-    "universal_vertices",
     "ClassificationReport",
     "FLAGS",
     "cotree_flags",
@@ -173,11 +172,6 @@ def is_complete(g: Graph) -> bool:
 
 def is_connected(g: Graph) -> bool:
     return g.n >= 1 and len(components(g)) == 1
-
-
-def universal_vertices(g: Graph) -> list[int]:
-    degs = g.degrees()
-    return [v for v in range(g.n) if degs[v] == g.n - 1]
 
 
 Witness = tuple[int, int, int, int]
@@ -425,6 +419,16 @@ def connectivity_report(g: Graph, tol: float = 1e-8) -> ConnectivityReport:
     return ConnectivityReport(kappa=kappa, algebraic=a, equal_flag=abs(kappa - a) <= tol)
 
 
+def _core_split(t: Cotree) -> tuple[list[Leaf], list[Internal]]:
+    """The children of a normal J root in one pass: its leaves, which are the
+    universal clique K_c, and the others, whose join is the remainder H. A
+    tree whose root is not a J-node is not split: both lists are empty."""
+    leaves, rest = [], []
+    for c in t.children if isinstance(t, Internal) and t.kind == JOIN else ():
+        (leaves if isinstance(c, Leaf) else rest).append(c)
+    return leaves, rest
+
+
 @dataclass(frozen=True)
 class UniversalCliqueDecomposition:
     c: int  # order of the universal clique
@@ -437,30 +441,31 @@ def universal_clique_decomposition(g: Graph) -> UniversalCliqueDecomposition:
     """Split a connected non-complete quasi-threshold graph as (all universal
     vertices) joined with the rest; the rest is guaranteed disconnected.
 
-    Raises NotApplicable when preconditions fail and InternalContradiction if
-    the structural guarantees do not hold (they cannot, for valid inputs).
+    Read off ``from_graph``'s cotree: the universal vertices are the leaf
+    children of its J root (``_core_split``). Raises NotApplicable when
+    preconditions fail and InternalContradiction if the structural
+    guarantees do not hold (they cannot, for valid inputs).
     """
     if g.n < 2:
         raise NotApplicable("decomposition needs at least two vertices")
-    if is_complete(g):
+    recovered = _from_graph(g)
+    if recovered is None:
+        raise NotApplicable("graph is disconnected" if not is_connected(g) else "graph is not quasi-threshold")
+    t, labels = recovered
+    flags = cotree_flags(t)
+    if flags["is_complete"]:
         raise NotApplicable("graph is complete")
-    if not is_connected(g):
+    if not flags["is_connected"]:
         raise NotApplicable("graph is disconnected")
-    if not classify(g).is_quasi_threshold:
+    if not flags["is_quasi_threshold"]:
         raise NotApplicable("graph is not quasi-threshold")
-    clique = universal_vertices(g)
-    if not clique:
-        raise InternalContradiction(
-            "connected non-complete quasi-threshold graph without a universal vertex"
-        )
-    rest = [v for v in range(g.n) if v not in set(clique)]
-    h = induced_subgraph(g, rest)
-    if len(components(h)) < 2:
-        raise InternalContradiction(
-            "remainder of the universal-clique decomposition is connected"
-        )
+    leaves, rest = _core_split(t)
+    if not leaves or len(rest) != 1:
+        raise InternalContradiction("connected non-complete quasi-threshold cotree is not K_c joined to one remainder")
+    clique = sorted(labels[id(leaf)] for leaf in leaves)
+    others = sorted(set(range(g.n)).difference(clique))
     return UniversalCliqueDecomposition(
-        c=len(clique), clique_vertices=tuple(clique), h=h, h_vertices=tuple(rest)
+        c=len(clique), clique_vertices=tuple(clique), h=induced_subgraph(g, others), h_vertices=tuple(others)
     )
 
 
@@ -493,16 +498,12 @@ def parse_generalized_core_satellite(source: Graph | Cotree) -> SatelliteSpec | 
         if recovered is None:
             return None
         source = recovered[0]
-    t = normalize(source)
-    if not (isinstance(t, Internal) and t.kind == JOIN):
-        return None
-    rest = [c for c in t.children if isinstance(c, Internal)]
-    n0 = len(t.children) - len(rest)
-    if n0 == 0 or len(rest) != 1:
+    leaves, rest = _core_split(normalize(source))
+    if not leaves or len(rest) != 1:
         return None
     sats = rest[0].children
     if not all(isinstance(c, Leaf) or all(isinstance(x, Leaf) for x in c.children) for c in sats):
         return None
     orders = Counter(1 if isinstance(c, Leaf) else len(c.children) for c in sats)
     satellites = tuple(sorted(((count, order) for order, count in orders.items()), key=lambda x: x[1]))
-    return SatelliteSpec(n0=n0, satellites=satellites)
+    return SatelliteSpec(n0=len(leaves), satellites=satellites)

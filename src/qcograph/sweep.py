@@ -22,7 +22,10 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
     an int or a list of ints, and a parameter the family does not declare is
     an error; the grid is their cartesian product, iterated
     lexicographically in parameter declaration order. Returns (header, rows).
+    A cap that is not an int >= 1 (a bool included) is a ValueError.
     """
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"sweep cap must be an integer >= 1, got {cap!r}")
     if not isinstance(pattern, dict) or not isinstance(pattern.get("params", {}), dict):
         raise ValueError('sweep pattern must look like {"family": ..., "params": {...}}')
     family = pattern.get("family")

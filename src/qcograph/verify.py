@@ -437,7 +437,7 @@ def run_verify(
     if max_n is not None:
         if suite.max_n is None:
             raise ValueError(f"{theorem_id} does not take --max-n")
-        if not isinstance(max_n, int) or not 1 <= max_n <= ENUMERATION_CAP:
+        if isinstance(max_n, bool) or not isinstance(max_n, int) or not 1 <= max_n <= ENUMERATION_CAP:
             raise ValueError(f"--max-n must be an integer in 1..{ENUMERATION_CAP}, got {max_n!r}")
     if grid is not None and suite.grid is None:
         raise ValueError(f"{theorem_id} does not take --grid")

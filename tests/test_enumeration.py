@@ -23,6 +23,11 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_cographs(0)
 
+    def test_bool_refused(self):
+        for enumerate_ in (enumerate_cographs, enumerate_cotrees):
+            with pytest.raises(ValueError, match=f"n must be in 1..{ENUMERATION_CAP}, got True"):
+                enumerate_(True)
+
     def test_strings_sorted_unique(self):
         idx = enumerate_cographs(6)
         assert list(idx.strings) == sorted(set(idx.strings))

@@ -115,6 +115,10 @@ class TestVerifySuites:
             if suite.max_n is not None:
                 assert run_verify(theorem, max_n=6), theorem
 
+    def test_max_n_bool_refused(self):
+        with pytest.raises(ValueError, match="--max-n must be an integer in 1..11, got True"):
+            run_verify("width-bound", max_n=True)
+
     def test_max_n_rejected_where_meaningless(self):
         with pytest.raises(ValueError, match="--max-n"):
             run_verify("spectra-closed-forms", max_n=5)
@@ -246,6 +250,11 @@ class TestSweep:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             sweep({"family": "Complete", "params": {"n": list(range(1, 9))}}, cap=4)
+
+    def test_cap_below_one_or_bool_refused(self):
+        for cap in (0, True):
+            with pytest.raises(ValueError, match=f"sweep cap must be an integer >= 1, got {cap!r}"):
+                sweep({"family": "Complete", "params": {"n": [1]}}, cap=cap)
 
     def test_rows_lexicographic(self):
         _, rows = sweep({"family": "BipartiteJoin", "params": {"a": [2, 1], "b": [3, 1]}})

@@ -4,6 +4,7 @@ import time
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import qcograph.cotree as cotree_module
@@ -14,6 +15,7 @@ from qcograph.families import build_cotree, default_grids
 from qcograph.graph import Graph, bipartition, components, induced_subgraph, join, union
 from qcograph.recognition import (
     NotApplicable,
+    UniversalCliqueDecomposition,
     classify,
     cotree_flags,
     connectivity_report,
@@ -423,6 +425,32 @@ class TestConnectivityReport:
         assert not rep.equal_flag
 
 
+def dense_universal_clique_decomposition(g):
+    """The dense split, independent of the cotree: the vertices of degree
+    n - 1, and the graph induced on the others, which must be disconnected.
+    Quasi-threshold is checked as free of induced P4 and C4."""
+    if g.n < 2:
+        raise NotApplicable("decomposition needs at least two vertices")
+    if is_complete(g):
+        raise NotApplicable("graph is complete")
+    if not is_connected(g):
+        raise NotApplicable("graph is disconnected")
+    if find_induced(g, "P4") is not None or find_induced(g, "C4") is not None:
+        raise NotApplicable("graph is not quasi-threshold")
+    degs = g.degrees()
+    clique = [v for v in range(g.n) if degs[v] == g.n - 1]
+    rest = [v for v in range(g.n) if degs[v] < g.n - 1]
+    h = induced_subgraph(g, rest)
+    assert clique and len(components(h)) >= 2
+    return UniversalCliqueDecomposition(c=len(clique), clique_vertices=tuple(clique), h=h, h_vertices=tuple(rest))
+
+
+def shuffled_labels(g, rng):
+    order = list(range(g.n))
+    rng.shuffle(order)
+    return Graph(g.adj[np.ix_(order, order)])
+
+
 class TestUniversalCliqueDecomposition:
     def test_paw(self):
         dec = universal_clique_decomposition(graph_of("J(1, U(J(1), J(2)))"))
@@ -458,13 +486,42 @@ class TestUniversalCliqueDecomposition:
             relabeled = induced_subgraph(g, list(dec.clique_vertices) + list(dec.h_vertices))
             assert rebuilt == relabeled, s
 
+    def test_non_cographs_not_applicable(self):
+        p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(NotApplicable, match="^graph is disconnected$"):
+            universal_clique_decomposition(union(p4, Graph.complete(1)))
+        with pytest.raises(NotApplicable, match="^graph is not quasi-threshold$"):
+            universal_clique_decomposition(p4)
+
+    def test_matches_dense_reference(self):
+        def outcome(split, g):
+            try:
+                return split(g)
+            except NotApplicable as exc:
+                return f"NotApplicable: {exc}"
+
+        rng = random.Random(26)
+        strings = [s for n in range(1, 10) for s in enumerate_cographs(n).strings]
+        cographs = [shuffled_labels(graph_of(s), rng) for s in strings]
+        others = [random_graph(rng, rng.randint(1, 8)) for _ in range(300)]
+        wants = []
+        for g in cographs + others:
+            wants.append(outcome(dense_universal_clique_decomposition, g))
+            assert outcome(universal_clique_decomposition, g) == wants[-1], g.edges()
+        split = sum(isinstance(want, UniversalCliqueDecomposition) for want in wants[: len(cographs)])
+        # connected quasi-threshold graphs on n vertices are as many as rooted
+        # trees on n vertices: 1, 2, 4, 9, 20, 48, 115, 286 for n = 2..9, of
+        # which one each is complete
+        assert split == 485 - 8
+
 
 def reference_core_satellite(g):
-    """The parser's former route: QT check, universal-clique split, then
+    """The parser's former route: the dense universal-clique split, then
     every component of the remainder complete."""
-    if g.n < 2 or not is_connected(g) or is_complete(g) or not classify(g).is_quasi_threshold:
+    try:
+        dec = dense_universal_clique_decomposition(g)
+    except NotApplicable:
         return None
-    dec = universal_clique_decomposition(g)
     orders = {}
     for block in components(dec.h):
         if not is_complete(induced_subgraph(dec.h, block)):
