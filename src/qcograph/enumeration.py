@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .cotree import _LEAF, JOIN, UNION, Cotree, _canonical_node
 
@@ -62,19 +63,26 @@ def _enumerated(n: int) -> tuple[tuple[str, ...], tuple[Cotree, ...]]:
     """The canonical strings of all cographs on n vertices, sorted, and their
     canonical trees in the same order. Generation yields one tree per
     isomorphism class, so the strings are distinct."""
-    if isinstance(n, bool) or not 1 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"n must be in 1..{ENUMERATION_CAP}, got {n}")
     roots = _nodes(n, JOIN) + _nodes(n, UNION) if n > 1 else (_LEAF,)
     _, strings, trees = zip(*sorted(roots, key=itemgetter(1)))
     return strings, trees
 
 
+def _count(n: int) -> int:
+    """n as a plain int in 1..ENUMERATION_CAP, checked before the cache is
+    read; a bool, or a value that operator.index refuses, is out of range."""
+    with suppress(TypeError):
+        if not isinstance(n, bool) and 1 <= (k := index(n)) <= ENUMERATION_CAP:
+            return k
+    raise ValueError(f"n must be in 1..{ENUMERATION_CAP}, got {n}")
+
+
 def enumerate_cotrees(n: int) -> tuple[Cotree, ...]:
     """All unlabeled cographs on n vertices as canonical cotrees, in the
     order of ``enumerate_cographs(n).strings``; equal subtrees are shared."""
-    return _enumerated(n)[1]
+    return _enumerated(_count(n))[1]
 
 
 def enumerate_cographs(n: int) -> EnumerationIndex:
     """Canonical-string index of all unlabeled cographs on n vertices."""
-    return EnumerationIndex(n=n, strings=_enumerated(n)[0])
+    return EnumerationIndex(n=(k := _count(n)), strings=_enumerated(k)[0])

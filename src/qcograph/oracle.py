@@ -131,7 +131,7 @@ def zero_is_q_main(g: Graph | Cotree) -> bool:
     independent reference. A cotree is read in normal form: the components
     are the children of a U root, else the tree itself, and a component that
     is not a leaf is bipartite (``cotree_flags``) iff it is a J-node over
-    its two colour classes.
+    its two colour classes. Each distinct component object is read once.
     """
     if isinstance(g, Graph):
         for block in components(g):
@@ -140,9 +140,10 @@ def zero_is_q_main(g: Graph | Cotree) -> bool:
                 return True
         return False
     t = normalize(g)
+    distinct = {id(c): c for c in (t.children if isinstance(t, Internal) and t.kind == UNION else (t,))}
     return any(
         isinstance(c, Leaf) or (cotree_flags(c)["is_bipartite"] and len({x.n for x in c.children}) == 2)
-        for c in (t.children if isinstance(t, Internal) and t.kind == UNION else (t,))
+        for c in distinct.values()
     )
 
 

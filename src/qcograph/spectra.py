@@ -178,12 +178,6 @@ def default_tol_group(matrix: np.ndarray) -> float:
     return 1e-7 * max(1.0, scale)
 
 
-def _q_tol_group(max_degree: float) -> float:
-    """default_tol_group of a Q whose largest degree is max_degree: each row of
-    Q is non-negative and sums to twice its vertex's degree, exactly."""
-    return 1e-7 * max(1.0, float(2 * max_degree))
-
-
 def default_tol_main(n: int) -> float:
     """Projection-norm threshold; the sqrt(n) factor tracks the all-ones norm."""
     return 1e-6 * math.sqrt(n)
@@ -212,15 +206,7 @@ class QSpectrumReport:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "groups": [
-                {
-                    "value": grp.value,
-                    "multiplicity": grp.multiplicity,
-                    "main": grp.main,
-                    "projection_norm": grp.projection_norm,
-                }
-                for grp in self.groups
-            ],
+            "groups": [dict(vars(grp)) for grp in self.groups],  # value, multiplicity, main, projection_norm
             "main_count": self.main_count,
             "tolerances": {"tol_group": self.tol_group, "tol_main": self.tol_main},
             "route": self.route,
@@ -234,14 +220,17 @@ def _grouped(
     columns: range | list[int],
     tol_group: float,
     tol_main: float,
+    counts: list[int] | None = None,
 ) -> tuple[SpectrumGroup, ...]:
     """Group ascending eigenvalues at gaps above tol_group, largest group first.
 
-    The eigenvectors of values[start:stop] that can carry projection are
-    columns columns[start]:columns[stop] of vectors, in coordinates where the
+    Item i of values stands for counts[i] equal eigenvalues (1 without
+    counts), and one counted more than once must be an integer. The
+    eigenvectors of items start:stop that can carry projection are columns
+    columns[start]:columns[stop] of vectors, in coordinates where the
     all-ones vector is weights; a group is main iff the projection of weights
-    onto them has norm above tol_main. A group's value is its mean, summed as
-    np.mean sums.
+    onto them has norm above tol_main. A group's multiplicity is its count
+    sum, and its value the mean of its items repeated, summed as np.mean sums.
     """
     for name, tol in (("tol_group", tol_group), ("tol_main", tol_main)):
         if not (math.isfinite(tol) and tol >= 0):
@@ -252,17 +241,34 @@ def _grouped(
             spans.append((start, i))
             start = i
     spans.append((start, len(listed)))
+    ends = range(len(listed) + 1) if counts is None else list(accumulate(counts, initial=0))
     groups = []
     for start, stop in reversed(spans):  # descending by value, largest (Perron) first
-        norm = _norm(vectors[:, columns[start] : columns[stop]].T @ weights)
-        value = float(values[start:stop].sum() / (stop - start))
-        groups.append(SpectrumGroup(value=value, multiplicity=stop - start, main=norm > tol_main, projection_norm=norm))
+        left, right = columns[start], columns[stop]
+        norm = _norm(vectors[:, left:right].T @ weights) if left < right else 0.0
+        size = ends[stop] - ends[start]
+        if stop - start == 1:  # np.sum adds one value to 0.0; an integer's copies sum exactly
+            value = listed[start] + 0.0
+        else:
+            part = values[start:stop] if size == stop - start else np.repeat(values[start:stop], counts[start:stop])
+            value = float(part.sum() / size)
+        groups.append(SpectrumGroup(value=value, multiplicity=size, main=norm > tol_main, projection_norm=norm))
     return tuple(groups)
 
 
-def q_spectrum(
-    g: Graph, tol_group: float | None = None, tol_main: float | None = None
-) -> QSpectrumReport:
+def _report(route, n, max_degree, values, vectors, weights, columns, tol_group, tol_main, counts=None):
+    """The QSpectrumReport of a Q of order n and largest degree max_degree,
+    grouped by _grouped. The default tol_group is default_tol_group of Q:
+    each row of Q is non-negative and sums to twice its vertex's degree."""
+    if tol_group is None:
+        tol_group = 1e-7 * max(1.0, float(2 * max_degree))
+    if tol_main is None:
+        tol_main = default_tol_main(n)
+    groups = _grouped(values, vectors, weights, columns, tol_group, tol_main, counts)
+    return QSpectrumReport(n, groups, sum(grp.main for grp in groups), tol_group, tol_main, route)
+
+
+def q_spectrum(g: Graph, tol_group: float | None = None, tol_main: float | None = None) -> QSpectrumReport:
     """Grouped signless Laplacian spectrum with per-group main flags.
 
     Eigenvalues within tol_group of their neighbor are one group; per the
@@ -272,13 +278,9 @@ def q_spectrum(
     independent check of q_spectrum_cotree.
     """
     q = signless_laplacian(g)
-    if tol_group is None:
-        tol_group = _q_tol_group(q.diagonal().max())
-    if tol_main is None:
-        tol_main = default_tol_main(g.n)
     dec = jacobi_eigh(q)
-    groups = _grouped(dec.values, dec.vectors, np.ones(g.n), range(g.n + 1), tol_group, tol_main)
-    return QSpectrumReport(g.n, groups, sum(grp.main for grp in groups), tol_group, tol_main, "dense")
+    degree = q.diagonal().max()
+    return _report("dense", g.n, degree, dec.values, dec.vectors, np.ones(g.n), range(g.n + 1), tol_group, tol_main)
 
 
 def q_spectrum_cotree(
@@ -292,28 +294,25 @@ def q_spectrum_cotree(
     to the all-ones vector. On the bag-constant complement Q acts as the
     condensed matrix C, with the weight vector s in place of the all-ones
     vector. So spec(Q) = spec(C) plus each bag's twin value t - 1 times, and
-    only C's eigenvectors carry projection norm: the twin values are carried
-    as values, with no eigenvector built for them, and a group's projection
-    is that of the weight vector onto the columns of C's eigenvectors in the
-    group alone, so the report costs O(r^2 + n) memory. The defaults equal
-    the dense ones: the infinity norm of Q is twice the largest degree.
+    only C's eigenvectors carry projection norm. The report sorts at most 2r
+    items: C's r values, and for each bag of two or more leaves its twin
+    value (an integer) with count t - 1 and no eigenvector. A group's
+    projection is that of s onto C's eigenvectors in the group alone.
     """
     b = t if isinstance(t, BagRepresentation) else bags(t)
     c = condensed(b)
-    n = b.n
-    if tol_group is None:
-        tol_group = _q_tol_group(max(bag.p for bag in b.bags))
-    if tol_main is None:
-        tol_main = default_tol_main(n)
     dec = jacobi_eigh(c.entries)
-    twins = [bag.p - 1 if bag.kind == JOIN else bag.p for bag in b.bags for _ in range(bag.t - 1)]
-    values = np.concatenate([dec.values, np.array(twins, dtype=float)])
+    runs = [bag for bag in b.bags if bag.t > 1]
+    values = np.concatenate([dec.values, [bag.p - 1 if bag.kind == JOIN else bag.p for bag in runs]])
+    counts = [1] * b.r + [bag.t - 1 for bag in runs]
     order = np.argsort(values, kind="stable")
-    # dec's values keep their order in the sort, so those in a span of the
-    # sorted values are a span of dec's columns: before[i] of them precede i
-    before = list(accumulate(map(b.r.__gt__, order.tolist()), initial=0))
-    groups = _grouped(values[order], dec.vectors, c.weights, before, tol_group, tol_main)
-    return QSpectrumReport(n, groups, sum(grp.main for grp in groups), tol_group, tol_main, "cotree")
+    listed = order.tolist()  # item indices, ascending by value
+    # dec's values keep their order and come first at ties, so those in a span
+    # of the sorted items are a span of dec's columns: before[i] precede item i
+    before = list(accumulate(map(b.r.__gt__, listed), initial=0))
+    counts = [counts[i] for i in listed]
+    degree = max(bag.p for bag in b.bags)
+    return _report("cotree", b.n, degree, values[order], dec.vectors, c.weights, before, tol_group, tol_main, counts)
 
 
 def main_count_exact(t: Cotree) -> int:
@@ -390,16 +389,9 @@ class CondensedMatrix:
 
 
 def condensed(b: BagRepresentation) -> CondensedMatrix:
-    r = b.r
-    c = np.zeros((r, r))
-    sizes = np.array([bag.t for bag in b.bags], dtype=float)
-    for i, bag in enumerate(b.bags):
-        c[i, i] = bag.p + (bag.t - 1) if bag.kind == JOIN else bag.p
-    root = np.sqrt(sizes)
-    cross = np.outer(root, root)
-    off = b.z.astype(float) * cross
-    np.fill_diagonal(off, 0.0)
-    c += off
+    root = np.sqrt([float(bag.t) for bag in b.bags])
+    c = b.z * np.outer(root, root)
+    np.fill_diagonal(c, [bag.p + (bag.t - 1) if bag.kind == JOIN else bag.p for bag in b.bags])
     return CondensedMatrix(entries=c, weights=root)
 
 
@@ -436,9 +428,7 @@ def dumps_17g(obj) -> str:
     def render(x) -> str:
         if isinstance(x, float):
             return format(x, ".17g")
-        if isinstance(x, bool) or x is None:
-            return json.dumps(x)
-        if isinstance(x, (int, str)):
+        if x is None or isinstance(x, (int, str)):  # bool is an int
             return json.dumps(x)
         if isinstance(x, dict):
             inner = ",".join(f"{json.dumps(str(k))}:{render(v)}" for k, v in x.items())

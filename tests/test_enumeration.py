@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qcograph.cotree import canonical_string, complement_cotree, parse
@@ -27,6 +28,29 @@ class TestEnumerate:
         for enumerate_ in (enumerate_cographs, enumerate_cotrees):
             with pytest.raises(ValueError, match=f"n must be in 1..{ENUMERATION_CAP}, got True"):
                 enumerate_(True)
+
+    # the count is checked before the cache is read, so the answer does not
+    # depend on what was enumerated before; the int form, where a sequence
+    # starts with it, fills the cache first
+    def test_float_two_refused_after_int_two(self):
+        assert enumerate_cographs(2).n == 2
+        with pytest.raises(ValueError, match=f"n must be in 1..{ENUMERATION_CAP}, got 2.0"):
+            enumerate_cographs(2.0)
+
+    def test_float_one_refused_and_bool_after_it(self):
+        with pytest.raises(ValueError, match=f"n must be in 1..{ENUMERATION_CAP}, got 1.0"):
+            enumerate_cographs(1.0)
+        with pytest.raises(ValueError, match=f"n must be in 1..{ENUMERATION_CAP}, got True"):
+            enumerate_cographs(True)
+
+    def test_float_three_refused_by_cotrees(self):
+        with pytest.raises(ValueError, match=f"n must be in 1..{ENUMERATION_CAP}, got 3.0"):
+            enumerate_cotrees(3.0)
+
+    def test_numpy_integer_passed_on_as_int(self):
+        index = enumerate_cographs(np.int64(3))
+        assert type(index.n) is int and index == enumerate_cographs(3)
+        assert enumerate_cotrees(np.int64(3)) is enumerate_cotrees(3)
 
     def test_strings_sorted_unique(self):
         idx = enumerate_cographs(6)

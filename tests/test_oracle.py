@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import qcograph.oracle as oracle
 from qcograph.cotree import complement_cotree, parse, to_graph
 from qcograph.enumeration import enumerate_cographs
 from qcograph.families import FamilySpec
@@ -263,6 +264,20 @@ class TestPredictOnCotree:
                 t = parse(s)
                 for u in (t, complement_cotree(t)):
                     assert zero_is_q_main(u) == zero_is_q_main(to_graph(u)), s
+
+    def test_zero_main_reads_each_distinct_component_once(self, monkeypatch):
+        # a U root over two shared components, each repeated 100,000 times;
+        # neither is bipartite, so no component ends the search early
+        walks = []
+
+        def counted(t):
+            walks.append(t)
+            return flags(t)
+
+        flags = oracle.cotree_flags
+        monkeypatch.setattr(oracle, "cotree_flags", counted)
+        assert not zero_is_q_main(parse("U(100000*J(3),100000*J(2,U(2)))"))
+        assert len(walks) == 2
 
     def test_builds_no_graph(self, monkeypatch):
         trees = [(parse(expr), rule, k) for expr, rule, k in RULE_EXAMPLES]
