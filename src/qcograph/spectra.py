@@ -206,7 +206,15 @@ class QSpectrumReport:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "groups": [dict(vars(grp)) for grp in self.groups],  # value, multiplicity, main, projection_norm
+            "groups": [
+                {
+                    "value": grp.value,
+                    "multiplicity": grp.multiplicity,
+                    "main": grp.main,
+                    "projection_norm": grp.projection_norm,
+                }
+                for grp in self.groups
+            ],
             "main_count": self.main_count,
             "tolerances": {"tol_group": self.tol_group, "tol_main": self.tol_main},
             "route": self.route,
@@ -389,9 +397,16 @@ class CondensedMatrix:
 
 
 def condensed(b: BagRepresentation) -> CondensedMatrix:
-    root = np.sqrt([float(bag.t) for bag in b.bags])
-    c = b.z * np.outer(root, root)
-    np.fill_diagonal(c, [bag.p + (bag.t - 1) if bag.kind == JOIN else bag.p for bag in b.bags])
+    r = b.r
+    c = np.zeros((r, r))
+    sizes = np.array([bag.t for bag in b.bags], dtype=float)
+    for i, bag in enumerate(b.bags):
+        c[i, i] = bag.p + (bag.t - 1) if bag.kind == JOIN else bag.p
+    root = np.sqrt(sizes)
+    cross = np.outer(root, root)
+    off = b.z.astype(float) * cross
+    np.fill_diagonal(off, 0.0)
+    c += off
     return CondensedMatrix(entries=c, weights=root)
 
 
@@ -428,7 +443,9 @@ def dumps_17g(obj) -> str:
     def render(x) -> str:
         if isinstance(x, float):
             return format(x, ".17g")
-        if x is None or isinstance(x, (int, str)):  # bool is an int
+        if isinstance(x, bool) or x is None:
+            return json.dumps(x)
+        if isinstance(x, (int, str)):
             return json.dumps(x)
         if isinstance(x, dict):
             inner = ",".join(f"{json.dumps(str(k))}:{render(v)}" for k, v in x.items())

@@ -1,10 +1,10 @@
 """Record the benchmark's four workloads at one commit, as BENCH_<label>.json.
 
-    python3 tools/bench_record.py --label NAME [--seed 1] [--seconds 25] [--out-dir .]
+    python3 tools/bench_record.py --label NAME [--seconds 25] [--out-dir .]
 
 Run from anywhere in a checkout. For each workload it runs the unchanged
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed 1 --seconds T --trace 0
 
 from the root of the checkout and keeps the last line of its stdout, the JSON
 object with ``correct``, ``attempted``, ``failed`` and ``metrics``; the metrics
@@ -13,7 +13,8 @@ keep the meaning ``perfbench/run.py`` gives them. To these it adds the commit
 differ from it (``git status --porcelain``; empty when the commit is what ran),
 and the host: the Python and NumPy versions, the CPU count and
 ``OPENBLAS_NUM_THREADS``. One file per commit, read in commit order, is the
-benchmark's trajectory; numbers from different hosts do not compare.
+benchmark's trajectory; the seed is fixed so that its points compare, and
+numbers from different hosts do not.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.rstrip("\n")
 
 
-def run_workload(workload: str, seed: int, seconds: int) -> dict:
+def run_workload(workload: str, seconds: int) -> dict:
     """The final JSON line of one ``perfbench/run.py --trace 0`` run."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1"]
     argv += ["--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     if done.returncode != 0:
@@ -50,7 +51,6 @@ def run_workload(workload: str, seed: int, seconds: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=25, help="per workload, as perfbench/run.py takes it")
     parser.add_argument("--out-dir", type=Path, default=ROOT)
     args = parser.parse_args(argv)
@@ -58,14 +58,14 @@ def main(argv: list[str] | None = None) -> int:
         "label": args.label,
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted": _git("status", "--porcelain", "--", "src", "perfbench").splitlines(),
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed 1 --seconds {args.seconds} --trace 0",
         "host": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
-        "workloads": {w: run_workload(w, args.seed, args.seconds) for w in WORKLOADS},
+        "workloads": {w: run_workload(w, args.seconds) for w in WORKLOADS},
     }
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
