@@ -18,7 +18,15 @@ from operator import itemgetter
 
 import numpy as np
 
-from .graph import MAX_EDGE_LIST_N, Graph, _mask_members, induced_subgraph, neighbourhood_masks, split_components
+from .graph import (
+    MAX_EDGE_LIST_N,
+    Graph,
+    _mask_members,
+    find_induced,
+    induced_subgraph,
+    neighbourhood_masks,
+    split_components,
+)
 
 __all__ = [
     "Leaf",
@@ -564,8 +572,6 @@ def find_p4(g: Graph) -> tuple[int, int, int, int] | None:
     induced subgraph in ascending vertex order, which keeps lexicographic
     order; the first of their witnesses is the first in g.
     """
-    from .recognition import find_induced  # deferred: recognition imports this module
-
     first = None
     for verts, kind, _ in _split(g):
         if kind is None:

@@ -1,11 +1,16 @@
-"""Constructors for every named graph family, as cotrees plus graphs.
+"""Every named graph family as a cotree plus graph, with its closed forms.
 
 Each family is one row of ``_FAMILIES``: its parameters and their clauses, its
 cotree, its closed-form main eigenvalues and its default verification grid.
+
+Every quadratic here is solved in the cancellation-safe form: the larger
+root from the usual formula, the smaller one from the product, so constant
+terms that vanish (complete splits with a=1) still give an exact zero root.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -13,7 +18,6 @@ from typing import Callable, Sequence
 
 from .cotree import JOIN, MAX_CHILDREN, UNION, Cotree, Leaf, _normal_step, canonicalize, to_graph
 from .graph import MAX_EDGE_LIST_N, Graph
-from . import oracle
 
 __all__ = [
     "FamilySpec",
@@ -23,6 +27,12 @@ __all__ = [
     "expected_mains",
     "default_grid",
     "default_grids",
+    "quadratic_roots",
+    "sigma_complete",
+    "sigma_bipartite_join",
+    "mains_complete_split",
+    "mains_core_union",
+    "mains_core_satellite_pair",
 ]
 
 
@@ -138,11 +148,93 @@ def _tiered(block: Cotree, x: int, y: int, p1: int, p2: int, p3: int) -> Cotree:
     return _U(*[block] * p1, *[_K(x)] * p2, *[_K(y)] * p3)
 
 
+# spectrum entries are (eigenvalue, multiplicity, is_main), descending
+
+
+def quadratic_roots(b: float, c: float) -> tuple[float, float]:
+    """Roots of q^2 - b q + c = 0, descending; assumes real roots and b >= 0."""
+    disc = b * b - 4.0 * c
+    if disc < 0:
+        raise ValueError(f"complex roots for q^2 - {b}q + {c}")
+    big = (b + math.sqrt(disc)) / 2.0
+    small = c / big if big != 0.0 else 0.0
+    return big, small
+
+
+def sigma_complete(n: int) -> list[tuple[float, int, bool]]:
+    """Spectrum of the complete graph: 2n-2 simple and main, n-2 with
+    multiplicity n-1 non-main; the one-vertex graph has the single main 0."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    if n == 1:
+        return [(0.0, 1, True)]
+    return [(float(2 * n - 2), 1, True), (float(n - 2), n - 1, False)]
+
+
+def sigma_bipartite_join(a: int, b: int) -> list[tuple[float, int, bool]]:
+    """Spectrum of the join of two edgeless graphs.
+
+    For a != b: a+b and 0 are main, b (mult a-1) and a (mult b-1) are not.
+    For a == b the graph is regular: only 2a is main.
+    """
+    if a < 1 or b < 1:
+        raise ValueError("a, b >= 1 required")
+    if a == b:
+        out = [(float(2 * a), 1, True)]
+        if 2 * a - 2 > 0:
+            out.append((float(a), 2 * a - 2, False))
+        out.append((0.0, 1, False))
+        return out
+    out = [(float(a + b), 1, True)]
+    mids = []
+    if a - 1 > 0:
+        mids.append((float(b), a - 1, False))
+    if b - 1 > 0:
+        mids.append((float(a), b - 1, False))
+    mids.sort(key=lambda e: -e[0])
+    out.extend(mids)
+    out.append((0.0, 1, True))
+    return out
+
+
+def mains_complete_split(a: int, b: int) -> tuple[float, float]:
+    """Main eigenvalues of the clique-on-a joined with b isolated vertices,
+    descending: the roots of q^2 - (b+3a-2)q + (2a^2-2a)."""
+    if a < 1 or b <= 1:
+        raise ValueError("a >= 1 and b > 1 required")
+    return quadratic_roots(float(b + 3 * a - 2), float(2 * a * a - 2 * a))
+
+
+def mains_core_union(c: int, a: int, b: int) -> tuple[tuple[float, float], float, int]:
+    """Main eigenvalues of K_c joined with (K_a union K_b), a != b.
+
+    Returns ((q1, q2) descending, the non-main value a+b+c-2, its exact
+    multiplicity c in the full spectrum).
+    """
+    if c < 1 or a < 1 or b < 1:
+        raise ValueError("a, b, c >= 1 required")
+    if a == b:
+        raise ValueError("a != b required; use mains_core_satellite_pair")
+    bq = float(3 * c + 2 * b + 2 * a - 4)
+    cq = float(2 * c * c + (2 * b + 2 * a - 6) * c + (4 * a - 4) * b - 4 * a + 4)
+    return quadratic_roots(bq, cq), float(a + b + c - 2), c
+
+
+def mains_core_satellite_pair(c: int, a: int) -> tuple[float, float]:
+    """Main eigenvalues of K_c joined with two disjoint copies of K_a,
+    descending (the a == b case of the three-bag quotient)."""
+    if c < 1 or a < 1:
+        raise ValueError("a, c >= 1 required")
+    bq = float(3 * c + 4 * a - 4)
+    cq = float(2 * c * c + (4 * a - 6) * c + 4 * a * a - 8 * a + 4)
+    return quadratic_roots(bq, cq)
+
+
 def _pair_mains(c: int, a: int, b: int) -> list[float]:
     """Mains of K_c joined with K_a u K_b."""
     if a == b:
-        return list(oracle.mains_core_satellite_pair(c, a))
-    return list(oracle.mains_core_union(c, a, b)[0])
+        return list(mains_core_satellite_pair(c, a))
+    return list(mains_core_union(c, a, b)[0])
 
 
 def _satellite_mains(c: int, t: int, a: int) -> list[float] | None:
@@ -201,7 +293,7 @@ _FAMILIES: dict[str, _Family] = {
     "CompleteSplit": _Family(
         ("a", "b"),
         lambda a, b: _J(_K(a), _E(b)),
-        lambda a, b: [float(2 * a)] if b == 1 else list(oracle.mains_complete_split(a, b)),  # b=1: K_{a+1}
+        lambda a, b: [float(2 * a)] if b == 1 else list(mains_complete_split(a, b)),  # b=1: K_{a+1}
     ),
     "BipartiteJoin": _Family(
         ("a", "b"),
@@ -238,7 +330,7 @@ _FAMILIES: dict[str, _Family] = {
     "H2": _Family(
         ("a", "b", "p"),  # a=1 is accepted and coincides with H2p(b, p)
         lambda a, b, p: _U(*[_J(_K(a), _E(b))] * p),
-        lambda a, b, p: list(oracle.mains_complete_split(a, b)),
+        lambda a, b, p: list(mains_complete_split(a, b)),
         clauses=(_at_least_2("b"), _at_least_2("p")),
         grid=(range(2, 6), range(2, 6), range(2, 4)),
     ),

@@ -1,4 +1,4 @@
-"""Dense simple undirected graphs and the union/join/complement algebra."""
+"""Dense simple undirected graphs, their union/join/complement algebra and induced 4-vertex scan."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ __all__ = [
     "neighbourhood_masks",
     "split_components",
     "bipartition",
+    "find_induced",
     "MAX_EDGE_LIST_N",
     "parse_edge_list",
     "format_edge_list",
@@ -290,3 +291,79 @@ def format_edge_list(g: Graph) -> str:
     out = [f"{g.n} {g.m}"]
     out.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(out) + "\n"
+
+
+# cells of find_induced's scan per block: a block's codes and their bytes
+# copies stay near 4 MB each
+_SCAN_CELLS = 1 << 22
+
+
+def _pattern_table(profile: list[int]) -> bytes:
+    """Hit byte (1 or 0) per code of a 4-subset a < b < c < d whose induced
+    degrees, sorted, are profile; as a bytes.translate table.
+
+    The code packs the six adjacencies as bits ab ac bc ad bd cd, from bit 5
+    down to bit 0; codes 64..255 mark (c, d) pairs outside the scan.
+    """
+    table = bytearray(256)
+    for code in range(64):
+        ab, ac, bc, ad, bd, cd = ((code >> k) & 1 for k in range(5, -1, -1))
+        degrees = sorted((ab + ac + ad, ab + bc + bd, ac + bc + cd, ad + bd + cd))
+        table[code] = degrees == profile
+    return bytes(table)
+
+
+_TABLES = {
+    pattern: _pattern_table(profile)
+    for pattern, profile in (("P4", [1, 1, 2, 2]), ("C4", [2, 2, 2, 2]), ("2K2", [1, 1, 1, 1]))
+}
+
+
+def find_induced(g: Graph, pattern: str) -> tuple[int, int, int, int] | None:
+    """First 4-tuple (lexicographic over 4-subsets) inducing P4, C4 or 2K2.
+
+    Dispatch is by degree profile of the induced subgraph: P4 has degrees
+    (1,1,2,2) with 3 edges, C4 is 2-regular with 4 edges, 2K2 has 2 edges
+    all of degree 1. P4 witnesses come back in path order.
+
+    The scan runs per a over blocks of consecutive b, each block one uint8
+    array over (b, c, d) with c and d in the tail after the block's first b:
+    a cell's code is the sum of a (b, c) term (ab, ac, bc), a (b, d) term
+    (ad, bd) and the (c, d) adjacency, looked up in the pattern's table.
+    Cells with c <= b or d <= c carry 64 in their terms, which the table
+    maps to no hit, so the first hit in C order is the first 4-subset in
+    lexicographic order. bytes.translate maps a block's codes through the
+    table in one C pass and bytes.find returns the first hit.
+    """
+    if pattern not in _TABLES:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    n = g.n
+    if n < 4:
+        return None
+    table = _TABLES[pattern]
+    bits = g.adj.astype(np.uint8)
+    pair = np.where(np.tri(n, dtype=bool), np.uint8(64), bits)  # cd, or 64 where d <= c
+    for a in range(n - 3):
+        b = a + 1
+        while b < n - 2:
+            m = n - b - 1  # the tail: vertices b + 1 .. n - 1
+            stop = min(n - 2, b + max(1, _SCAN_CELLS // (m * m)))
+            kinds = 2 * bits[a, b + 1 :] + bits[b:stop, b + 1 :]  # 2ac + bc per (b, c)
+            left = 32 * bits[a, b:stop, None] + 8 * kinds + np.tri(stop - b, m, -1, dtype=np.uint8) * 64
+            code = left[:, :, None] + (2 * kinds)[:, None, :]
+            code += pair[b + 1 :, b + 1 :]
+            first = code.tobytes().translate(table).find(1)
+            if first >= 0:
+                i, j = divmod(first, m * m)
+                quad = (a, b + i, b + 1 + j // m, b + 1 + j % m)
+                return _order_as_path(g, quad) if pattern == "P4" else quad
+            b = stop
+    return None
+
+
+def _order_as_path(g: Graph, quad: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    degs = [sum(bool(g.adj[u, v]) for v in quad if v != u) for u in quad]
+    a, d = (i for i in range(4) if degs[i] == 1)
+    b = next(i for i in range(4) if g.adj[quad[a], quad[i]])
+    c = next(i for i in range(4) if g.adj[quad[b], quad[i]] and i != a)
+    return (quad[a], quad[b], quad[c], quad[d])

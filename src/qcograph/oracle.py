@@ -1,16 +1,14 @@
-"""Closed-form spectra and main-count predictors used as ground truth.
-
-Every quadratic here is solved in the cancellation-safe form: the larger
-root from the usual formula, the smaller one from the product, so constant
-terms that vanish (complete splits with a=1) still give an exact zero root.
-"""
+"""Main-count predictors read off a cotree, used as ground truth."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cotree import JOIN, UNION, Cotree, Internal, Leaf, _bag_count, _from_graph, complement_cotree, normalize
+from .families import FamilySpec, build_cotree
+# re-exported: the closed forms live in families, and qcograph.oracle still names them
+from .families import mains_complete_split, mains_core_satellite_pair, mains_core_union, quadratic_roots
+from .families import sigma_bipartite_join, sigma_complete
 from .graph import Graph, bipartition, components, induced_subgraph
 from .recognition import (
     NotApplicable,
@@ -36,87 +34,6 @@ __all__ = [
     "FormB",
     "predict_two_main_forms",
 ]
-
-# spectrum entries are (eigenvalue, multiplicity, is_main), descending
-
-
-def quadratic_roots(b: float, c: float) -> tuple[float, float]:
-    """Roots of q^2 - b q + c = 0, descending; assumes real roots and b >= 0."""
-    disc = b * b - 4.0 * c
-    if disc < 0:
-        raise ValueError(f"complex roots for q^2 - {b}q + {c}")
-    big = (b + math.sqrt(disc)) / 2.0
-    small = c / big if big != 0.0 else 0.0
-    return big, small
-
-
-def sigma_complete(n: int) -> list[tuple[float, int, bool]]:
-    """Spectrum of the complete graph: 2n-2 simple and main, n-2 with
-    multiplicity n-1 non-main; the one-vertex graph has the single main 0."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    if n == 1:
-        return [(0.0, 1, True)]
-    return [(float(2 * n - 2), 1, True), (float(n - 2), n - 1, False)]
-
-
-def sigma_bipartite_join(a: int, b: int) -> list[tuple[float, int, bool]]:
-    """Spectrum of the join of two edgeless graphs.
-
-    For a != b: a+b and 0 are main, b (mult a-1) and a (mult b-1) are not.
-    For a == b the graph is regular: only 2a is main.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("a, b >= 1 required")
-    if a == b:
-        out = [(float(2 * a), 1, True)]
-        if 2 * a - 2 > 0:
-            out.append((float(a), 2 * a - 2, False))
-        out.append((0.0, 1, False))
-        return out
-    out = [(float(a + b), 1, True)]
-    mids = []
-    if a - 1 > 0:
-        mids.append((float(b), a - 1, False))
-    if b - 1 > 0:
-        mids.append((float(a), b - 1, False))
-    mids.sort(key=lambda e: -e[0])
-    out.extend(mids)
-    out.append((0.0, 1, True))
-    return out
-
-
-def mains_complete_split(a: int, b: int) -> tuple[float, float]:
-    """Main eigenvalues of the clique-on-a joined with b isolated vertices,
-    descending: the roots of q^2 - (b+3a-2)q + (2a^2-2a)."""
-    if a < 1 or b <= 1:
-        raise ValueError("a >= 1 and b > 1 required")
-    return quadratic_roots(float(b + 3 * a - 2), float(2 * a * a - 2 * a))
-
-
-def mains_core_union(c: int, a: int, b: int) -> tuple[tuple[float, float], float, int]:
-    """Main eigenvalues of K_c joined with (K_a union K_b), a != b.
-
-    Returns ((q1, q2) descending, the non-main value a+b+c-2, its exact
-    multiplicity c in the full spectrum).
-    """
-    if c < 1 or a < 1 or b < 1:
-        raise ValueError("a, b, c >= 1 required")
-    if a == b:
-        raise ValueError("a != b required; use mains_core_satellite_pair")
-    bq = float(3 * c + 2 * b + 2 * a - 4)
-    cq = float(2 * c * c + (2 * b + 2 * a - 6) * c + (4 * a - 4) * b - 4 * a + 4)
-    return quadratic_roots(bq, cq), float(a + b + c - 2), c
-
-
-def mains_core_satellite_pair(c: int, a: int) -> tuple[float, float]:
-    """Main eigenvalues of K_c joined with two disjoint copies of K_a,
-    descending (the a == b case of the three-bag quotient)."""
-    if c < 1 or a < 1:
-        raise ValueError("a, c >= 1 required")
-    bq = float(3 * c + 4 * a - 4)
-    cq = float(2 * c * c + (4 * a - 6) * c + 4 * a * a - 8 * a + 4)
-    return quadratic_roots(bq, cq)
 
 
 def zero_is_q_main(g: Graph | Cotree) -> bool:
@@ -185,8 +102,6 @@ def predict_main_count(obj) -> MainCountPrediction:
     A graph that is not a cograph gets rule 1 or the order bound only: rule 5
     would need a dense eigensolve of h, as costly as one of the graph.
     """
-    from .families import FamilySpec, build_cotree  # deferred: families imports this module
-
     if isinstance(obj, FamilySpec):
         obj = build_cotree(obj)
     elif isinstance(obj, Graph):
@@ -219,7 +134,9 @@ def predict_main_count(obj) -> MainCountPrediction:
         k_h = main_count_exact(h)
         if k_h >= 2:
             head = f"K_{len(leaves)} joined to a remainder with {k_h} mains"
-            if zero_is_q_main(complement_cotree(h)):
+            # complement(h) is the union of the complements of rest, and 0 is
+            # main in a union iff it is main in some part
+            if any(zero_is_q_main(complement_cotree(c)) for c in {id(c): c for c in rest}.values()):
                 return MainCountPrediction(k_h, "JoinKcZeroMain", f"{head}; 0 is main in its complement")
             return MainCountPrediction(k_h + 1, "JoinKcZeroNotMain", f"{head}; 0 is not main in its complement")
     width = _bag_count(t)  # bags(t).r without walking out shared subtrees

@@ -90,12 +90,13 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     norm = _norm(a)
     if not math.isfinite(norm):  # an infinite tol would pass the first convergence check
         raise ValueError("need a matrix whose Frobenius norm is finite, got one that overflows")
+    tol = _CONVERGENCE * norm
+    if _off_diagonal_norm(a) <= tol:  # no rotation to run: V = I
+        return _sorted_decomposition(diag, np.eye(n))
     width = 2 * n
     w = np.eye(n, width, n)  # W = [A^T | V^T], with V = I to start
     w[:, :n] = a
     a = w[:, :n]  # A^T, which is A
-    if norm == 0.0 or n == 1:
-        return _sorted_decomposition(diag, w[:, n:])
     flat = memoryview(w.reshape(-1))  # w[i, j] is flat[i * width + j]
     rot = np.empty((2, 2))  # [[c, s], [-s, c]]
     r = memoryview(rot.reshape(-1))
@@ -103,15 +104,10 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     turned = np.empty((2, width))  # rows p and q of W, rotated
     turned_a = turned[:, :n].T  # as columns p and q of A
     views = {}  # by the flat index of (p, q): rows p and q of W, and columns p and q of A
-    tol = _CONVERGENCE * norm
     # if every rotation in a sweep falls below this, the off-diagonal norm
     # is already below tol, so skipping them cannot stall convergence
     skip = tol / (2.0 * n)
     for _ in range(_MAX_SWEEPS):
-        off = a.flatten()
-        off[:: n + 1] = 0.0  # the diagonal
-        if _norm(off) <= tol:
-            return _sorted_decomposition(diag, w[:, n:])
         for p in range(n - 1):
             app = diag[p]
             row_p = p * width
@@ -139,6 +135,8 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
                 diag[p] = flat[row_p + p] = app
                 diag[q] = flat[q * width + q] = aqq
                 flat[row_p + q] = flat[q * width + p] = 0.0
+        if _off_diagonal_norm(a) <= tol:
+            return _sorted_decomposition(diag, w[:, n:])
     raise SolverError(f"Jacobi sweep cap ({_MAX_SWEEPS}) exceeded for order {n}")
 
 
@@ -146,6 +144,12 @@ def _norm(x: np.ndarray) -> float:
     """The 2-norm of x raveled, as np.linalg.norm computes it, without its dispatch."""
     x = x.ravel()
     return math.sqrt(x.dot(x))
+
+
+def _off_diagonal_norm(a: np.ndarray) -> float:
+    off = a.flatten()
+    off[:: a.shape[0] + 1] = 0.0  # the diagonal
+    return _norm(off)
 
 
 def _sorted_decomposition(values: list[float], vectors_t: np.ndarray) -> EigenDecomposition:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import time
 from itertools import product
+from math import prod
 
 from .cotree import bags
-from .families import FAMILY_PARAMS, FamilySpec, build_cotree
+from .families import FamilySpec, build_cotree
 from .recognition import FLAGS, classify
 from .spectra import q_spectrum_cotree
 
@@ -28,39 +29,29 @@ def sweep(pattern: dict, cap: int = SWEEP_CAP) -> tuple[list[str], list[list[str
         raise ValueError(f"sweep cap must be an integer >= 1, got {cap!r}")
     if not isinstance(pattern, dict) or not isinstance(pattern.get("params", {}), dict):
         raise ValueError('sweep pattern must look like {"family": ..., "params": {...}}')
-    family = pattern.get("family")
-    if not isinstance(family, str) or family not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family {family!r}")
-    if family == "GeneralizedCoreSatellite":
+    if pattern.get("family") == "GeneralizedCoreSatellite":
         raise ValueError("sweep does not support nested satellite parameters")
-    names = FAMILY_PARAMS[family]
-    raw = pattern.get("params", {})
-    axes: list[list] = []
-    for name in names:
-        if name not in raw:
-            raise ValueError(f"missing parameter {name!r} for family {family}")
-        v = raw[name]
+    axes: dict[str, list] = {}
+    for name, v in pattern.get("params", {}).items():
         try:
             # FamilySpec.make checks each value; only their order is needed here
-            axes.append(sorted(v) if isinstance(v, (list, tuple)) else [v])
+            axes[name] = sorted(v) if isinstance(v, (list, tuple)) else [v]
         except TypeError:
             raise ValueError(f"sweep parameter {name!r} must be an integer or a list of integers") from None
-        if not axes[-1]:
+        if not axes[name]:
             raise ValueError(f"sweep parameter {name!r} has an empty list of values")
-    unexpected = [name for name in raw if name not in names]
-    if unexpected:
-        raise ValueError(f"{family} takes parameters {list(names)}; unexpected {unexpected}")
-    points = 1
-    for axis in axes:
-        points *= len(axis)
+    # the first point checks the family and parameter names and gives their declaration order
+    first = FamilySpec.from_json_dict({"family": pattern.get("family"), "params": {k: a[0] for k, a in axes.items()}})
+    family, names = first.family, [k for k, _ in first.params]
+    points = prod(len(axis) for axis in axes.values())
     if points > cap:
         raise ValueError(f"sweep has {points} points, exceeding the cap of {cap}")
 
     header = [*names, "n", "m", "r", "main_count", "mains", *FLAGS, "runtime_ms"]
     rows: list[list[str]] = []
-    for values in product(*axes):
+    for i, values in enumerate(product(*(axes[k] for k in names))):
         start = time.perf_counter()
-        spec = FamilySpec.make(family, **dict(zip(names, values)))
+        spec = FamilySpec.make(family, **dict(zip(names, values))) if i else first
         t = build_cotree(spec)
         b = bags(t)
         rep = q_spectrum_cotree(b)

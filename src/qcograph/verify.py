@@ -8,17 +8,20 @@ from typing import Callable, Iterator
 
 from .cotree import JOIN, UNION, Cotree, Internal, Leaf, _from_graph, bags, parse, to_graph
 from .enumeration import ENUMERATION_CAP, enumerate_cographs, enumerate_cotrees
-from .families import FamilySpec, build_cotree, default_grid, default_grids, expected_mains
-from .graph import Graph, bipartition, complement, union
-from .oracle import (
+from .families import (
+    FamilySpec,
+    build_cotree,
+    default_grid,
+    default_grids,
+    expected_mains,
     mains_core_union,
-    predict_main_count,
-    predict_two_main_forms,
     sigma_bipartite_join,
     sigma_complete,
-    zero_is_q_main,
 )
+from .graph import Graph, bipartition, complement, union
+from .oracle import predict_main_count, predict_two_main_forms, zero_is_q_main
 from .recognition import (
+    NotApplicable,
     classify,
     connectivity_report,
     is_complete,
@@ -152,11 +155,11 @@ def _two_main_characterization(max_n: int) -> Iterator[_Row]:
     the exact count on the symmetry-class tree; acceptance criterion 4
     checks the same biconditional with the dense q_spectrum."""
     for s, t in _iter_enumerated(max_n):
-        report = classify(t)
-        if not (report.is_connected and report.is_quasi_threshold):
+        try:
+            form = predict_two_main_forms(t)
+        except NotApplicable:  # disconnected or not quasi-threshold
             continue
         k = main_count_exact(t)
-        form = predict_two_main_forms(t)
         ok = (k == 2) == (form is not None)
         present = "present" if form is not None else "absent"
         yield s, s, f"form {present}: {form}", f"k = {k}", ok, 0.0 if ok else 1.0

@@ -242,7 +242,8 @@ class TestCotreeFlags:
             raise AssertionError(f"dense {pattern} scan on a cograph")
 
         monkeypatch.setattr(recognition, "_first_quad", counting)
-        monkeypatch.setattr(recognition, "find_induced", dense_scan)
+        for module in (cotree_module, recognition):  # each binding of graph.find_induced
+            monkeypatch.setattr(module, "find_induced", dense_scan)
         g = graph_of("J(1, U(J(2), J(3)))")  # quasi-threshold, not threshold
         for source in (g, parse("J(1, U(J(2), J(3)))")):
             rep = classify(source)
