@@ -13,8 +13,6 @@ from pathlib import Path
 
 from .cotree import (
     Cotree,
-    CotreeSyntaxError,
-    NotCograph,
     _from_graph,
     _refuse_wide,
     bags,
@@ -33,16 +31,12 @@ from .verify import THEOREM_IDS, cases_to_csv, run_verify
 __all__ = ["main"]
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _read_json_file(path: str):
     """The JSON value in a file; a file that does not parse is a usage error naming it."""
     try:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_json_arg(value: str):
@@ -53,7 +47,7 @@ def _load_json_arg(value: str):
         pass
     if Path(value).exists():
         return _read_json_file(value)
-    raise UsageError(f"not valid JSON and not an existing file: {value!r}")
+    raise ValueError(f"not valid JSON and not an existing file: {value!r}")
 
 
 def _load_config(path: str | None, command: str, allowed: set[str]) -> dict:
@@ -62,16 +56,13 @@ def _load_config(path: str | None, command: str, allowed: set[str]) -> dict:
         return {}
     cfg = _read_json_file(path)
     if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     unknown = set(cfg) - allowed
     if unknown:
-        raise UsageError(f"config keys not used by {command}: {sorted(unknown)} (it takes {sorted(allowed)})")
+        raise ValueError(f"config keys not used by {command}: {sorted(unknown)} (it takes {sorted(allowed)})")
     for key in ("tol_group", "tol_main"):
         if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float))):
-            raise UsageError(f"config {key} must be a number, got {cfg[key]!r}")
-    cap = cfg.get("sweep_cap", SWEEP_CAP)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise UsageError(f"config sweep_cap must be an integer >= 1, got {cap!r}")
+            raise ValueError(f"config {key} must be a number, got {cfg[key]!r}")
     return cfg
 
 
@@ -79,7 +70,7 @@ def _input_from_args(args) -> Cotree | Graph:
     """The cotree (--cotree, --family) or the graph (--edges) the arguments name."""
     sources = [s for s in ("cotree", "edges", "family") if getattr(args, s, None)]
     if len(sources) != 1:
-        raise UsageError("exactly one of --cotree, --edges, --family is required")
+        raise ValueError("exactly one of --cotree, --edges, --family is required")
     src = sources[0]
     if src == "cotree":
         return parse(args.cotree)
@@ -269,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalContradiction as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, CotreeSyntaxError, NotCograph, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -226,64 +226,41 @@ def parse_edge_list(text: str) -> Graph:
     and n above MAX_EDGE_LIST_N. Blank lines are skipped. A bad edge line is
     reported by its line number: the first bad line, and on it the first of
     these checks it fails: two fields, integers, no self-loop, 0 <= u < v < n,
-    not a duplicate. The body is split once and checked on arrays.
+    not a duplicate.
     """
-    lines = list(map(str.strip, text.splitlines()))
-    kept = [i for i, ln in enumerate(lines) if ln]
-    if not kept:
+    numbered = [(i + 1, ln) for i, ln in enumerate(map(str.strip, text.splitlines())) if ln]
+    if not numbered:
         raise ValueError("empty edge-list input")
-    header = lines[kept[0]].split()
-    if len(header) != 2:
-        raise ValueError(f"line {kept[0] + 1}: header must be 'n m'")
+    (lineno, header), body = numbered[0], numbered[1:]
+    if len(header.split()) != 2:
+        raise ValueError(f"line {lineno}: header must be 'n m'")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = map(int, header.split())
     except ValueError:
-        raise ValueError(f"line {kept[0] + 1}: header must be two integers") from None
+        raise ValueError(f"line {lineno}: header must be two integers") from None
     if n < 0 or m < 0:
         raise ValueError("n and m must be non-negative")
     if n > MAX_EDGE_LIST_N:
         raise ValueError(f"n = {n} exceeds the edge-list limit of {MAX_EDGE_LIST_N} vertices")
-    body = [lines[i] for i in kept[1:]]
     if len(body) != m:
         raise ValueError(f"expected {m} edge lines, found {len(body)}")
-    fields = np.fromiter(map(len, map(str.split, body)), dtype=np.intp, count=m)
-    good = _first(fields != 2)  # the lines before it have two fields
-    tokens = " ".join(body[:good]).split()
-    try:
-        uv = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
-    except (ValueError, OverflowError):
-        # cut at the first line with a token that is not an integer; clamped
-        # into [-1, n], an endpoint past int64 is still out of range
-        ends = []
-        for x in tokens:
-            try:
-                ends.append(min(max(int(x), -1), n))
-            except ValueError:
-                break
-        good = len(ends) // 2
-        uv = np.array(ends[: 2 * good], dtype=np.int64)
-    u, v = uv.reshape(-1, 2).T
-    edges = _first((u < 0) | (u >= v) | (v >= n))  # the lines before it are edges
-    repeat = np.ones(edges, dtype=bool)
-    repeat[np.unique(u[:edges] * n + v[:edges], return_index=True)[1]] = False
-    bad = _first(repeat)  # the first bad line, or m if there is none
-    if bad < m:
-        line = f"line {kept[1 + bad] + 1}"
-        if bad == good:
-            raise ValueError(f"{line}: expected 'u v'" if fields[bad] != 2 else f"{line}: endpoints must be integers")
-        x, y = map(int, tokens[2 * bad : 2 * bad + 2])
-        if bad < edges:
-            raise ValueError(f"{line}: duplicate edge ({x}, {y})")
-        raise ValueError(f"{line}: self-loop at {x}" if x == y else f"{line}: edge ({x}, {y}) violates 0 <= u < v < n")
     a = np.zeros((n, n), dtype=bool)
-    a[u, v] = a[v, u] = True
+    for lineno, ln in body:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {lineno}: endpoints must be integers") from None
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at {u}")
+        if not 0 <= u < v < n:
+            raise ValueError(f"line {lineno}: edge ({u}, {v}) violates 0 <= u < v < n")
+        if a[u, v]:
+            raise ValueError(f"line {lineno}: duplicate edge ({u}, {v})")
+        a[u, v] = a[v, u] = True
     return Graph(a)
-
-
-def _first(mask: np.ndarray) -> int:
-    """The index of the first true entry of mask, or its length if none."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else len(mask)
 
 
 def format_edge_list(g: Graph) -> str:

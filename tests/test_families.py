@@ -106,6 +106,7 @@ class TestBuild:
     def test_core_satellite_t1_collapses(self):
         _, g = build(FamilySpec.make("CoreSatellite", c=2, t=1, a=3))
         assert g == Graph.complete(5)
+        assert expected_mains(FamilySpec.make("CoreSatellite", c=2, t=1, a=3)) == [8.0]
 
     def test_h2_a1_matches_h2p(self):
         a = build(FamilySpec.make("H2", a=1, b=3, p=2))[0]

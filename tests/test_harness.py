@@ -310,6 +310,18 @@ class TestCli:
         assert data["r"] == 2
         assert data["entries"][0][0] == 5.0
 
+    def test_condensed_text(self, capsys):
+        assert main(["condensed", "--cotree", "J(2,U(3))"]) == 0
+        assert capsys.readouterr().out == (
+            "width r = 2\n"
+            "  J-bag t=2 p=4 members=[0, 1]\n"
+            "  U-bag t=3 p=2 members=[2, 3, 4]\n"
+            "  [         5     2.44949]\n"
+            "  [   2.44949           2]\n"
+            "  eigenvalue 6.37228132327 main\n"
+            "  eigenvalue 0.627718676731 main\n"
+        )
+
     def test_build_edges(self, capsys):
         assert main(["build", "--family", '{"family":"Complete","params":{"n":3}}', "--emit", "edges"]) == 0
         assert capsys.readouterr().out == "3 3\n0 1\n0 2\n1 2\n"
@@ -385,6 +397,8 @@ class TestCli:
             (["sweep", "--family", '{"family":"H6","params":{"s":1,"p1":1,"p2":1,"p3":1,"p4":2}}'], None),
             (["sweep", "--family", '{"family":"Complete","params":{"n":[3]}}'], '{"tol_main": 1e9}'),
             (["spectrum", "--cotree", "J(3)"], '{"sweep_cap": 5}'),
+            (["sweep", "--family", '{"family":"GeneralizedCoreSatellite","params":{"n0":[1,2],"satellites":[[1,2]]}}'], None),
+            (["sweep", "--family", '{"family":"H6","params":{"s":[1,"x"],"p1":1,"p2":1,"p3":1}}'], None),
         ],
     )
     def test_malformed_family_input_is_usage_error(self, tmp_path, capsys, argv, config):
@@ -402,7 +416,7 @@ class TestCli:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"sweep_cap": cap}))
             assert main(["sweep", "--family", family, "--config", str(cfg)]) == 2
-            assert "sweep_cap" in capsys.readouterr().err
+            assert "sweep cap must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
