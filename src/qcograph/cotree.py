@@ -169,17 +169,8 @@ def _post_order(t: Cotree) -> list[Internal]:
 
 def _normal_step(kind: str, kids: list[Cotree]) -> Cotree:
     """The normal form of a node of this kind over children in normal form:
-    same-kind children merged in, and a lone child in place of the node.
-    A node of more than MAX_CHILDREN children is refused with ValueError as
-    soon as the merge passes that many."""
-    flat: list[Cotree] = []
-    for c in kids:
-        if isinstance(c, Internal) and c.kind == kind:
-            flat += c.children
-        else:
-            flat.append(c)
-        if len(flat) > MAX_CHILDREN:
-            raise ValueError(f"a node of more than {MAX_CHILDREN} children")
+    their merge (``_merged_children``), and a lone child in place of the node."""
+    flat = _merged_children(kind, kids)
     return flat[0] if len(flat) == 1 else Internal(kind, tuple(flat))
 
 
@@ -187,14 +178,25 @@ def _merged_children(kind: str, children) -> list[Cotree]:
     """The children of the normal form of a node of this kind over these
     children, each still to be normalized: the children, read left to right
     through every node of the same kind and every lone-child node, which the
-    normal form merges into the node."""
-    kids, stack = [], list(reversed(children))
+    normal form merges into the node. A normal node of the same kind gives
+    its children whole. A node of more than MAX_CHILDREN children is refused
+    with ValueError as soon as the merge passes that many."""
+    kids: list[Cotree] = []
+    stack = [iter(children)]
     while stack:
-        c = stack.pop()
-        if isinstance(c, Internal) and (c.kind == kind or len(c.children) == 1):
-            stack += reversed(c.children)
+        for c in stack[-1]:
+            # the common case first: a leaf, or a node of the other kind with two or more children
+            if type(c) is Leaf or c.kind != kind and (c.normal or len(c.children) > 1):
+                kids.append(c)
+            elif c.normal:  # of the same kind
+                kids += c.children
+            else:
+                stack.append(iter(c.children))
+                break
+            if len(kids) > MAX_CHILDREN:
+                raise ValueError(f"a node of more than {MAX_CHILDREN} children")
         else:
-            kids.append(c)
+            stack.pop()
     return kids
 
 

@@ -215,9 +215,7 @@ def mains_core_union(c: int, a: int, b: int) -> tuple[tuple[float, float], float
         raise ValueError("a, b, c >= 1 required")
     if a == b:
         raise ValueError("a != b required; use mains_core_satellite_pair")
-    bq = float(3 * c + 2 * b + 2 * a - 4)
-    cq = float(2 * c * c + (2 * b + 2 * a - 6) * c + (4 * a - 4) * b - 4 * a + 4)
-    return quadratic_roots(bq, cq), float(a + b + c - 2), c
+    return tuple(_core_pair_mains(c, a, b)), float(a + b + c - 2), c
 
 
 def mains_core_satellite_pair(c: int, a: int) -> tuple[float, float]:
@@ -225,16 +223,15 @@ def mains_core_satellite_pair(c: int, a: int) -> tuple[float, float]:
     descending (the a == b case of the three-bag quotient)."""
     if c < 1 or a < 1:
         raise ValueError("a, c >= 1 required")
-    bq = float(3 * c + 4 * a - 4)
-    cq = float(2 * c * c + (4 * a - 6) * c + 4 * a * a - 8 * a + 4)
-    return quadratic_roots(bq, cq)
+    return tuple(_core_pair_mains(c, a, a))
 
 
-def _pair_mains(c: int, a: int, b: int) -> list[float]:
-    """Mains of K_c joined with K_a u K_b."""
-    if a == b:
-        return list(mains_core_satellite_pair(c, a))
-    return list(mains_core_union(c, a, b)[0])
+def _core_pair_mains(c: int, a: int, b: int) -> list[float]:
+    """Mains of K_c joined with (K_a union K_b), descending: the roots of the
+    three-bag quotient's quadratic, which holds at a == b too."""
+    bq = float(3 * c + 2 * b + 2 * a - 4)
+    cq = float(2 * c * c + (2 * b + 2 * a - 6) * c + (4 * a - 4) * b - 4 * a + 4)
+    return list(quadratic_roots(bq, cq))
 
 
 def _satellite_mains(c: int, t: int, a: int) -> list[float] | None:
@@ -242,7 +239,7 @@ def _satellite_mains(c: int, t: int, a: int) -> list[float] | None:
     if t == 1:
         return [float(2 * (c + a) - 2)]
     if t == 2:
-        return _pair_mains(c, a, a)
+        return _core_pair_mains(c, a, a)
     return None
 
 
@@ -300,7 +297,7 @@ _FAMILIES: dict[str, _Family] = {
         lambda a, b: _J(_E(a), _E(b)),
         lambda a, b: [float(2 * a)] if a == b else [float(a + b), 0.0],
     ),
-    "CoreUnion": _Family(("c", "a", "b"), lambda c, a, b: _core(c, [a, b]), _pair_mains),
+    "CoreUnion": _Family(("c", "a", "b"), lambda c, a, b: _core(c, [a, b]), _core_pair_mains),
     "CoreSatellite": _Family(("c", "t", "a"), lambda c, t, a: _core(c, [a] * t), _satellite_mains),
     "Windmill": _Family(("t", "a"), lambda t, a: _core(1, [a] * t), lambda t, a: _satellite_mains(1, t, a)),
     "GeneralizedCoreSatellite": _Family(
@@ -351,7 +348,7 @@ _FAMILIES: dict[str, _Family] = {
     "H3": _Family(
         ("s", "a1", "a2", "p"),
         lambda s, a1, a2, p: _U(*[_core(s, [a1, a2])] * p),
-        lambda s, a1, a2, p: _pair_mains(s, a1, a2),
+        lambda s, a1, a2, p: _core_pair_mains(s, a1, a2),
         clauses=(_at_least_2("p"), ("a1 >= 2 or a2 >= 2", lambda p: p["a1"] >= 2 or p["a2"] >= 2)),
         grid=(range(1, 4), range(1, 5), range(1, 5), range(2, 4)),
     ),

@@ -162,18 +162,19 @@ def _sorted_decomposition(values: list[float], vectors_t: np.ndarray) -> EigenDe
 
 def signless_laplacian(g: Graph) -> np.ndarray:
     """Q = D + A as a dense float matrix."""
-    if g.n < 1:
-        raise ValueError("spectral operations require at least one vertex")
-    a = g.adj.astype(float)
-    return np.diag(g.degrees().astype(float)) + a
+    return _degrees_with(np.add, g)
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """L = D - A as a dense float matrix."""
+    return _degrees_with(np.subtract, g)
+
+
+def _degrees_with(op: np.ufunc, g: Graph) -> np.ndarray:
+    """op(D, A) as a dense float matrix, for the degree matrix D and adjacency A of g."""
     if g.n < 1:
         raise ValueError("spectral operations require at least one vertex")
-    a = g.adj.astype(float)
-    return np.diag(g.degrees().astype(float)) - a
+    return op(np.diag(g.degrees().astype(float)), g.adj.astype(float))
 
 
 def default_tol_group(matrix: np.ndarray) -> float:
@@ -401,16 +402,10 @@ class CondensedMatrix:
 
 
 def condensed(b: BagRepresentation) -> CondensedMatrix:
-    r = b.r
-    c = np.zeros((r, r))
-    sizes = np.array([bag.t for bag in b.bags], dtype=float)
-    for i, bag in enumerate(b.bags):
-        c[i, i] = bag.p + (bag.t - 1) if bag.kind == JOIN else bag.p
-    root = np.sqrt(sizes)
-    cross = np.outer(root, root)
-    off = b.z.astype(float) * cross
-    np.fill_diagonal(off, 0.0)
-    c += off
+    """C as z * s s^T, whose diagonal z leaves zero, with the bag diagonal written in."""
+    root = np.sqrt(np.array([bag.t for bag in b.bags], dtype=float))
+    c = b.z * np.outer(root, root)
+    c.flat[:: b.r + 1] = [bag.p + (bag.t - 1) if bag.kind == JOIN else bag.p for bag in b.bags]
     return CondensedMatrix(entries=c, weights=root)
 
 

@@ -32,7 +32,8 @@ from qcograph.cotree import (
 )
 from qcograph.enumeration import enumerate_cographs, enumerate_cotrees
 from qcograph.graph import Graph, complement, induced_subgraph, join, union
-from qcograph.recognition import cotree_flags, find_induced
+from qcograph.recognition import classify, cotree_flags, find_induced
+from qcograph.spectra import main_count_exact
 
 
 def alternating(depth: int) -> str:
@@ -144,6 +145,25 @@ class TestNormalize:
 
         for expr in ("J(1, U(J(1), J(2)))", "U(3*J(2))", "J(U(2),U(2))"):
             check(parse(expr))
+
+    def test_hand_built_node_capped(self):
+        # the parser's MAX_CHILDREN bound holds for the merge of a hand-built tree too
+        block = parse(f"U({MAX_CHILDREN // 1000}*J(2))")
+        assert len(normalize(Internal(UNION, (block,) * 1000)).children) == MAX_CHILDREN
+        with pytest.raises(ValueError, match=f"a node of more than {MAX_CHILDREN} children"):
+            normalize(Internal(UNION, (block,) * 1001))
+
+    def test_hand_built_billion_children_refused_fast(self):
+        # U(1000*U(1000*U(1000*J(2)))) by hand, whose normal form is one U-node
+        # over 10^9 copies of J(2): every walk normalizes first and refuses it
+        t: Cotree = Internal(JOIN, (Leaf(), Leaf()))
+        for _ in range(3):
+            t = Internal(UNION, (t,) * 1000)
+        for walk in (normalize, to_graph, classify, main_count_exact):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"a node of more than {MAX_CHILDREN} children"):
+                walk(t)
+            assert time.perf_counter() - start < 1.0, walk.__name__
 
 
 class TestCanonicalString:

@@ -185,6 +185,21 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match="edge lines"):
             parse_edge_list("3 2\n0 1\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty edge-list input"),
+            ("3\n", "line 1: header must be 'n m'"),
+            ("a b\n", "line 1: header must be two integers"),
+            ("\n\n3 x\n", "line 3: header must be two integers"),
+            ("-1 0\n", "n and m must be non-negative"),
+        ],
+    )
+    def test_rejects_bad_header(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message
+
     @given(graphs(min_n=1, max_n=7))
     def test_round_trip_random(self, g):
         assert parse_edge_list(format_edge_list(g)) == g

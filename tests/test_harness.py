@@ -12,7 +12,7 @@ from qcograph.cotree import MAX_CHILDREN, MAX_DEPTH, parse, to_graph
 from qcograph.enumeration import enumerate_cographs
 from qcograph.families import FamilySpec, build
 from qcograph.graph import MAX_EDGE_LIST_N, Graph, format_edge_list, join
-from qcograph.recognition import classify
+from qcograph.recognition import InternalContradiction, classify
 from qcograph.spectra import q_spectrum, report_to_json
 from qcograph.sweep import sweep, sweep_to_csv
 from qcograph.verify import THEOREM_IDS, cases_to_csv, run_verify
@@ -145,6 +145,7 @@ class TestVerifySuites:
             ["--theorem", "width-bound", "--max-n", "0"],
             ["--theorem", "width-bound", "--max-n", "-3"],
             ["--theorem", "width-bound", "--max-n", "12"],
+            ["--theorem", "width-bound", "--grid", '{"specs": []}'],
             ["--theorem", "gcs-count", "--grid", '{"specs": []}'],
             ["--theorem", "h-families", "--grid", '{"families": {}}'],
             ["--theorem", "h-families", "--grid", '{"families": {"H1": []}}'],
@@ -356,6 +357,14 @@ class TestCli:
         code = main(["verify", "--theorem", "h-families", "--grid", str(grid)])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_internal_contradiction_exit_code(self, monkeypatch, capsys):
+        def contradict(source):
+            raise InternalContradiction("a structural guarantee failed")
+
+        monkeypatch.setattr("qcograph.cli.classify", contradict)
+        assert main(["classify", "--cotree", "J(2)"]) == 3
+        assert capsys.readouterr().err.startswith("internal contradiction:")
 
     def test_verify_reports_byte_identical(self, tmp_path):
         r1, r2 = tmp_path / "a.csv", tmp_path / "b.csv"
