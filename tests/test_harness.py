@@ -145,10 +145,10 @@ class TestVerifySuites:
             ["--theorem", "width-bound", "--max-n", "0"],
             ["--theorem", "width-bound", "--max-n", "-3"],
             ["--theorem", "width-bound", "--max-n", "12"],
-            ["--theorem", "width-bound", "--grid", '{"specs": []}'],
             ["--theorem", "gcs-count", "--grid", '{"specs": []}'],
             ["--theorem", "h-families", "--grid", '{"families": {}}'],
             ["--theorem", "h-families", "--grid", '{"families": {"H1": []}}'],
+            ["--theorem", "width-bound", "--grid", '{"specs": []}'],
         ],
     )
     def test_bad_bound_or_empty_grid_is_usage_error(self, capsys, argv):
