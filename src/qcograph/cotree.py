@@ -72,7 +72,8 @@ class Internal:
       if they differ.
 
     ``n`` and ``degree`` are facts of the subtree's graph, so they are the
-    same for a tree and its normal form.
+    same for a tree and its normal form. More than MAX_CHILDREN children
+    are refused with ValueError.
     """
 
     kind: str  # UNION or JOIN
@@ -83,6 +84,8 @@ class Internal:
 
     def __post_init__(self) -> None:
         kind, children = self.kind, self.children
+        if len(children) > MAX_CHILDREN:
+            raise ValueError(f"a node of more than {MAX_CHILDREN} children")
         join = kind == JOIN
         normal, n, shifts = len(children) > 1, 0, set()
         for c in children:
@@ -231,45 +234,19 @@ def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, 
     return ranges, records
 
 
-def _bag_count(t: Cotree) -> int:
-    """``bags(t).r``, counted bottom-up over the distinct nodes of t's normal form."""
-    t = normalize(t)
-    count: dict[int, int] = {}
-    for node in _post_order(t):
-        kids = node.children
-        count[id(node)] = any(isinstance(c, Leaf) for c in kids) + sum(count.get(id(c), 0) for c in kids)
-    return count.get(id(t), 1)
-
-
-def _refuse_wide(t: Cotree) -> None:
-    """Refuse with ValueError a tree of more than ``MAX_EDGE_LIST_N`` bags,
-    too many for a dense r x r bag adjacency. Bags are counted only when
-    there are more leaves than that, since no tree has more bags than leaves."""
-    if t.n > MAX_EDGE_LIST_N and (r := _bag_count(t)) > MAX_EDGE_LIST_N:
-        raise ValueError(f"r = {r} bags exceeds the limit of {MAX_EDGE_LIST_N} for the dense bag adjacency")
-
-
-def _class_tree(t: Cotree) -> list[tuple[int, bool, int, int]]:
-    """The symmetry-class tree of t's normal form: per position, parents
-    first, (parent position, -1 at the root; whether it is a J-node; its
-    leaf children; its copies under one node of the parent position).
-
-    Nodes are interned bottom-up by (kind, leaf children, sorted child
-    classes), so two nodes share a class iff their subtrees are isomorphic.
-    A position stands for the nodes reached by one path of classes from the
-    root: equal sibling classes are one position, with their number as its
-    copies. Automorphisms permute the copies, so the leaf sets of the
-    positions are an equitable partition of the vertices. The one-leaf
-    tree is one J-position with one leaf. More than ``MAX_EDGE_LIST_N``
-    positions with leaves are refused with ValueError, counted per class
-    before any position is listed, when there are more leaves than that
-    (no tree has more such positions than bags, nor bags than leaves).
-    """
+def _classes(t: Cotree) -> list[tuple[bool, int, list[tuple[int, int]], int, int]]:
+    """The symmetry classes of t's normal form, children before parents and
+    the root last. Nodes are interned bottom-up by (kind, leaf children,
+    sorted child classes), so two nodes share a class iff their subtrees are
+    isomorphic. Per class: whether it is a J-node, its leaf children, its
+    (child class, copies) pairs, and its two widths, each counted once from
+    its child classes: its bags and its positions with leaves. The one-leaf
+    tree is one J-class with one leaf."""
     t = normalize(t)
     if isinstance(t, Leaf):
-        return [(-1, True, 1, 1)]
+        return [(True, 1, [], 1, 1)]
     classes: dict[tuple, int] = {}  # (kind, leaf children, *sorted child classes) -> class
-    rows: list[tuple[bool, int, list[tuple[int, int]]]] = []  # per class: J-node, leaves, (child class, copies)
+    rows: list[tuple[bool, int, list[tuple[int, int]], int, int]] = []
     of: dict[int, int] = {}  # id(node) -> class
     for node in _post_order(t):
         children = node.children
@@ -279,23 +256,45 @@ def _class_tree(t: Cotree) -> list[tuple[int, bool, int, int]]:
         if c is None:
             c = classes[key] = len(rows)
             copies = dict.fromkeys(kids, 0)
+            bag_count = positions = key[1] > 0
             for k in kids:
                 copies[k] += 1
-            rows.append((node.kind == JOIN, key[1], list(copies.items())))
+                bag_count += rows[k][3]
+            for k in copies:
+                positions += rows[k][4]
+            rows.append((node.kind == JOIN, key[1], list(copies.items()), bag_count, positions))
         of[id(node)] = c
-    root = of[id(t)]
-    if t.n > MAX_EDGE_LIST_N:
-        bearing: list[int] = []  # per class: the positions with leaves in one of its subtrees
-        for _, leaves, groups in rows:  # children before parents
-            bearing.append((leaves > 0) + sum(bearing[c] for c, _ in groups))
-        if bearing[root] > MAX_EDGE_LIST_N:
-            raise ValueError(
-                f"r = {bearing[root]} bag classes exceeds the limit of {MAX_EDGE_LIST_N} for the exact main count"
-            )
+    return rows
+
+
+def _refuse_wide(t: Cotree) -> None:
+    """Refuse with ValueError a tree of more than ``MAX_EDGE_LIST_N`` bags,
+    too many for a dense r x r bag adjacency. Bags are read off the root class
+    only when there are more leaves than that, since no tree has more bags than leaves."""
+    if t.n > MAX_EDGE_LIST_N and (r := _classes(t)[-1][3]) > MAX_EDGE_LIST_N:
+        raise ValueError(f"r = {r} bags exceeds the limit of {MAX_EDGE_LIST_N} for the dense bag adjacency")
+
+
+def _class_tree(t: Cotree) -> list[tuple[int, bool, int, int]]:
+    """The symmetry-class tree of t's normal form: per position, parents
+    first, (parent position, -1 at the root; whether it is a J-node; its
+    leaf children; its copies under one node of the parent position).
+
+    A position stands for the nodes reached by one path of classes from the
+    root: equal sibling classes are one position, with their number as its
+    copies. Automorphisms permute the copies, so the leaf sets of the
+    positions are an equitable partition of the vertices. More than
+    ``MAX_EDGE_LIST_N`` positions with leaves are refused with ValueError,
+    read off the root class when there are more leaves than that (no tree
+    has more such positions than bags, nor bags than leaves).
+    """
+    rows = _classes(t)
+    if t.n > MAX_EDGE_LIST_N and (r := rows[-1][4]) > MAX_EDGE_LIST_N:
+        raise ValueError(f"r = {r} bag classes exceeds the limit of {MAX_EDGE_LIST_N} for the exact main count")
     tree: list[tuple[int, bool, int, int]] = []
-    queue = [(-1, root, 1)]
+    queue = [(-1, len(rows) - 1, 1)]
     for parent, c, copies in queue:  # breadth first: the queue grows as it is read
-        join, leaves, groups = rows[c]
+        join, leaves, groups, _, _ = rows[c]
         queue += [(len(tree), d, m) for d, m in groups]
         tree.append((parent, join, leaves, copies))
     return tree

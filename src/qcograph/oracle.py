@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cotree import JOIN, UNION, Cotree, Internal, Leaf, _bag_count, _from_graph, complement_cotree, normalize
+from .cotree import JOIN, UNION, Cotree, Internal, Leaf, _classes, _from_graph, complement_cotree, normalize
 from .families import FamilySpec, build_cotree
 # re-exported: the closed forms live in families, and qcograph.oracle still names them
 from .families import mains_complete_split, mains_core_satellite_pair, mains_core_union, quadratic_roots
@@ -139,7 +139,7 @@ def predict_main_count(obj) -> MainCountPrediction:
             if any(zero_is_q_main(complement_cotree(c)) for c in {id(c): c for c in rest}.values()):
                 return MainCountPrediction(k_h, "JoinKcZeroMain", f"{head}; 0 is main in its complement")
             return MainCountPrediction(k_h + 1, "JoinKcZeroNotMain", f"{head}; 0 is not main in its complement")
-    width = _bag_count(t)  # bags(t).r without walking out shared subtrees
+    width = _classes(t)[-1][3]  # bags(t).r, the root class's, without walking out shared subtrees
     return MainCountPrediction(k=width, rule="WidthBoundOnly", premises=f"cotree width {width} (upper bound only)")
 
 

@@ -17,9 +17,10 @@ from qcograph.cotree import (
     MAX_DEPTH,
     NotCograph,
     UNION,
-    _bag_count,
     _class_tree,
+    _classes,
     _from_graph,
+    _post_order,
     bags,
     canonical_string,
     canonicalize,
@@ -147,11 +148,15 @@ class TestNormalize:
             check(parse(expr))
 
     def test_hand_built_node_capped(self):
-        # the parser's MAX_CHILDREN bound holds for the merge of a hand-built tree too
+        # the parser's MAX_CHILDREN bound holds for the merge of a hand-built
+        # tree too, and for a hand-built node that is already normal
         block = parse(f"U({MAX_CHILDREN // 1000}*J(2))")
         assert len(normalize(Internal(UNION, (block,) * 1000)).children) == MAX_CHILDREN
         with pytest.raises(ValueError, match=f"a node of more than {MAX_CHILDREN} children"):
             normalize(Internal(UNION, (block,) * 1001))
+        assert Internal(UNION, (Leaf(),) * MAX_CHILDREN).n == MAX_CHILDREN
+        with pytest.raises(ValueError, match=f"a node of more than {MAX_CHILDREN} children"):
+            Internal(UNION, (Leaf(),) * (MAX_CHILDREN + 1))
 
     def test_hand_built_billion_children_refused_fast(self):
         # U(1000*U(1000*U(1000*J(2)))) by hand, whose normal form is one U-node
@@ -649,18 +654,30 @@ def class_tree_weights(t: Cotree) -> tuple[int, int]:
     )
 
 
+def assert_classes_match(t: Cotree, r: int) -> None:
+    """``_classes(t)`` has one class per isomorphism class of subtree of the
+    normal form, and its root row's widths are the r bags and the positions
+    with leaves of ``_class_tree``; the class tree weighted by node counts
+    has the r bags and the leaves."""
+    norm, rows = normalize(t), _classes(t)
+    assert len(rows) == len({canonical_string(s) for s in _post_order(norm) or [norm]}), repr(t)
+    positions = sum(1 for _, _, leaves, _ in _class_tree(t) if leaves)
+    assert rows[-1][3:] == (r, positions), repr(t)
+    assert class_tree_weights(t) == (r, t.n), repr(t)
+
+
 class TestWalksPinned:
     """normalize, canonicalize, canonical_string, complement_cotree,
     the leaf count n and cotree_flags agree with the recursive references;
-    the bag count and the weighted class tree agree with ``bags``."""
+    the class table and the weighted class tree agree with
+    ``canonical_string`` and ``bags``."""
 
     def test_every_cograph_up_to_10(self):
         count = 0
         for n in range(1, 11):
             for t in enumerate_cotrees(n):
                 assert_walks_match(t)
-                assert _bag_count(t) == bags(t).r
-                assert class_tree_weights(t) == (bags(t).r, t.n)
+                assert_classes_match(t, bags(t).r)
                 count += 1
         assert count == 6965
 
@@ -674,10 +691,15 @@ class TestWalksPinned:
             assert to_graph(t) == reference_to_graph(t)
             rep, want = bags(t), bags(reference_normalize(t))
             assert rep.bags == want.bags and np.array_equal(rep.z, want.z)
-            assert _bag_count(t) == rep.r
-            assert class_tree_weights(t) == (rep.r, t.n)
+            assert_classes_match(t, rep.r)
             unnormalized += reference_normalize(t) != t
         assert unnormalized > 2000
+
+    def test_isomorphic_siblings_share_a_class_in_either_child_order(self):
+        a, b = parse("J(2)"), parse("J(1,U(2))")
+        t = Internal(JOIN, (Internal(UNION, (a, b)), Internal(UNION, (b, a))))
+        assert len(_classes(t)) == 5  # J(2), U(2), J(1,U(2)), the two U-nodes, the root
+        assert_classes_match(t, bags(t).r)
 
 
 def subtrees(t: Cotree) -> list[Internal]:
