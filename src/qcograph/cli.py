@@ -7,6 +7,7 @@ error, 3 internal contradiction (a structural guarantee failed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -193,6 +194,7 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+@functools.cache  # one build per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qcograph",

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -6,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from qcograph import verify
+from qcograph import cli, verify
 from qcograph.cli import main
 from qcograph.cotree import MAX_CHILDREN, MAX_DEPTH, parse, to_graph
 from qcograph.enumeration import enumerate_cographs
@@ -502,6 +503,62 @@ class TestCli:
         for theorem, grid in (("h-families", h_grid), ("gcs-count", gcs_grid)):
             a = cases_to_csv(run_verify(theorem, grid=grid))
             assert a == cases_to_csv(run_verify(theorem, grid=grid)) and "FAIL" not in a
+
+    @staticmethod
+    def fresh_main(capsys, argv):
+        """main(argv) on a newly built parser, as the first call of a process makes it: (code, out, err)."""
+        cli._build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    def test_reused_parser_keeps_calls_independent(self, capsys):
+        table = ["spectrum", "--cotree", "J(2,U(3))"]
+        good = ["classify", "--cotree", "J(U(2),U(2))"]
+        fresh = {tuple(argv): self.fresh_main(capsys, argv) for argv in (table, good, ["condensed"])}
+        assert main([*table, "--json", "--tol-group", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerances"]["tol_group"] == 0.5
+        assert main(table) == 0
+        assert (0, *capsys.readouterr()) == fresh[tuple(table)]
+        with pytest.raises(SystemExit) as exc:
+            main(["condensed"])  # no --cotree: argparse's usage error
+        assert (exc.value.code, *capsys.readouterr()) == fresh[("condensed",)]
+        assert fresh[("condensed",)][0] == 2 and "--cotree" in fresh[("condensed",)][2]
+        assert main(good) == 0
+        assert (0, *capsys.readouterr()) == fresh[tuple(good)]
+
+    def test_reused_parser_prints_the_help_of_a_fresh_one(self, capsys):
+        main(["classify", "--cotree", "J(2)"])
+        capsys.readouterr()
+        fresh = cli._build_parser.__wrapped__()
+        assert cli._build_parser() is cli._build_parser()
+        for command in ([], ["spectrum"], ["classify"], ["condensed"], ["build"], ["verify"], ["sweep"], ["enumerate"]):
+            with pytest.raises(SystemExit):
+                fresh.parse_args([*command, "--help"])
+            want = capsys.readouterr().out
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--help"])
+            assert exc.value.code == 0 and capsys.readouterr().out == want
+        assert want.startswith("usage: qcograph enumerate")
+        assert cli._build_parser().format_help() == fresh.format_help()
+
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        assert main(["classify", "--cotree", "J(2)"]) == 0
+        assert len(built) == 8  # the command and its seven subcommands
+        assert main(["spectrum", "--cotree", "J(2)"]) == 0
+        assert len(built) == 8
+        cli._build_parser.cache_clear()  # the next call builds with the real __init__
 
 
 class TestEdgeInputRoute:

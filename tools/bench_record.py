@@ -12,9 +12,15 @@ keep the meaning ``perfbench/run.py`` gives them. To these it adds the commit
 (``git rev-parse HEAD``), the files under ``src/`` and ``perfbench/`` that
 differ from it (``git status --porcelain``; empty when the commit is what ran),
 and the host: the Python and NumPy versions, the CPU count and
-``OPENBLAS_NUM_THREADS``. One file per commit, read in commit order, is the
-benchmark's trajectory; the seed is fixed so that its points compare, and
-numbers from different hosts do not.
+``OPENBLAS_NUM_THREADS``. Last it runs the acceptance tests,
+
+    python -m pytest -q -s tests/test_acceptance.py
+
+and keeps each ``ACCEPTANCE n (name): PASS - detail [x s]`` line it prints,
+with the criterion's wall time, under ``acceptance``. One file per commit,
+read in commit order, is the benchmark's trajectory; the seed is fixed so that
+its points compare, and numbers from different hosts do not. It exits 1 when a
+workload had a failed case or an acceptance test failed.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,19 +40,31 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import WORKLOADS  # noqa: E402  (perfbench is a directory of scripts, not a package)
 
+ACCEPTANCE_LINE = re.compile(r"ACCEPTANCE \d+ \(.*?\): .* \[[0-9.]+s\]")
+
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.rstrip("\n")
 
 
-def run_workload(workload: str, seconds: int) -> dict:
-    """The final JSON line of one ``perfbench/run.py --trace 0`` run."""
+def run_workload(workload: str, seconds: int, root: Path = ROOT) -> dict:
+    """The final JSON line of one ``perfbench/run.py --trace 0`` run in the checkout at root."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1"]
     argv += ["--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{workload}: perfbench/run.py exited {done.returncode}\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def run_acceptance() -> tuple[list[str], bool]:
+    """The ``ACCEPTANCE n ...`` lines of ``tests/test_acceptance.py``, and whether every test passed."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "pytest", "-q", "-s", "tests/test_acceptance.py"]
+    done = subprocess.run(argv, cwd=ROOT, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stdout + done.stderr)
+    return ACCEPTANCE_LINE.findall(done.stdout), done.returncode == 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -67,11 +86,13 @@ def main(argv: list[str] | None = None) -> int:
         },
         "workloads": {w: run_workload(w, args.seconds) for w in WORKLOADS},
     }
+    record["acceptance"], accepted = run_acceptance()
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     failed = {w: r["failed"] for w, r in record["workloads"].items() if r["failed"]}
-    print(f"{path}: {len(record['workloads'])} workloads, failed cases {failed or 0}")
-    return 1 if failed else 0
+    verdict = "all passed" if accepted else "FAILED"
+    print(f"{path}: {len(record['workloads'])} workloads, failed cases {failed or 0}; acceptance tests {verdict}")
+    return 1 if failed or not accepted else 0
 
 
 if __name__ == "__main__":
