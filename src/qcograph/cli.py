@@ -15,14 +15,14 @@ from pathlib import Path
 from .cotree import (
     Cotree,
     _from_graph,
-    _refuse_wide,
+    _refuse_bags,
     bags,
     canonical_string,
     canonicalize,
     parse,
 )
 from .enumeration import enumerate_cographs
-from .families import FamilySpec, _raw_cotree, build, build_cotree
+from .families import FamilySpec, _spec_bag_count, build, build_cotree
 from .graph import Graph, format_edge_list, parse_edge_list
 from .recognition import InternalContradiction, classify
 from .spectra import condensed, dumps_17g, main_eigs_condensed, q_spectrum, q_spectrum_cotree, report_to_json
@@ -78,10 +78,10 @@ def _input_from_args(args) -> Cotree | Graph:
     if src == "edges":
         return parse_edge_list(Path(args.edges).read_text())
     # only spectrum takes --family, and its bags refuse a wide tree: count
-    # them on the family's tree before canonicalize sorts every child
-    t = _raw_cotree(FamilySpec.from_json_dict(_load_json_arg(args.family)))
-    _refuse_wide(t)
-    return canonicalize(t)
+    # them off the parameters before any node is built
+    spec = FamilySpec.from_json_dict(_load_json_arg(args.family))
+    _refuse_bags(_spec_bag_count(spec))
+    return build_cotree(spec)
 
 
 def _cmd_spectrum(args) -> int:
@@ -160,9 +160,8 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     grid = _load_json_arg(args.grid) if args.grid else None
     cases = run_verify(args.theorem, max_n=args.max_n, grid=grid)
-    csv_text = cases_to_csv(cases)
     if args.report:
-        Path(args.report).write_text(csv_text)
+        Path(args.report).write_text(cases_to_csv(cases))
     failures = [c for c in cases if not c.passed]
     for c in failures:
         print(f"FAIL {c.case_id}: predicted {c.predicted}; computed {c.computed}")

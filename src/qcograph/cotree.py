@@ -203,18 +203,18 @@ def _merged_children(kind: str, children) -> list[Cotree]:
     return kids
 
 
-def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, ...], str, int]]]:
+def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[int, str, int, int]]]:
     """Walk the normal form of a cotree with an explicit stack, parents before children.
 
     Leaves are numbered in DFS order. Returns the (lo, hi, kind) leaf range
     of every internal node, parents first, and per bag (the leaf children of
-    one node, or a lone leaf as a J-bag) its (members, parent kind, degree).
-    The degree is t - 1 under a J-parent plus, for each join ancestor A, the
-    leaves of A outside A's child on the path.
+    one node, or a lone leaf as a J-bag) its (first vertex, parent kind, t,
+    degree p), in walk order. The degree is t - 1 under a J-parent plus, for
+    each join ancestor A, the leaves of A outside A's child on the path.
     """
     t = normalize(t)
     ranges: list[tuple[int, int, str]] = []
-    records: list[tuple[tuple[int, ...], str, int]] = [] if isinstance(t, Internal) else [((0,), JOIN, 0)]
+    records: list[tuple[int, str, int, int]] = [] if isinstance(t, Internal) else [(0, JOIN, 1, 0)]
     # (node, first leaf, degree its bag gets from join ancestors)
     stack = [(t, 0, 0)] if isinstance(t, Internal) else []
     while stack:
@@ -222,16 +222,36 @@ def _walk(t: Cotree) -> tuple[list[tuple[int, int, str]], list[tuple[tuple[int, 
         total = node.n
         join = node.kind == JOIN
         ranges.append((lo, lo + total, node.kind))
-        members = []
-        for c in node.children:
-            if isinstance(c, Leaf):
-                members.append(lo)
-            else:
-                stack.append((c, lo, acc + total - c.n if join else acc))
-            lo += c.n
-        if members:
-            records.append((tuple(members), node.kind, acc + total - 1 if join else acc))
+        if total == len(node.children):  # leaves alone: a normal internal child has two or more
+            first, size = lo, total
+        else:
+            first = size = 0
+            for c in node.children:
+                if type(c) is Leaf:
+                    if not size:
+                        first = lo
+                    size += 1
+                    lo += 1
+                else:
+                    stack.append((c, lo, acc + total - c.n if join else acc))
+                    lo += c.n
+        if size:
+            records.append((first, node.kind, size, acc + total - 1 if join else acc))
     return ranges, records
+
+
+def _bag_records(
+    t: Cotree,
+) -> tuple[list[tuple[int, int, str]], list[tuple[int, str, int, int]], list[tuple[int, int, str]]]:
+    """``_walk`` of t, its bags ordered by first vertex, and each internal
+    node's (lo, hi, kind) range of bag indices, parents first: the bags under
+    a node are contiguous in that order. More than ``MAX_EDGE_LIST_N`` bags
+    are refused first (``_refuse_wide``)."""
+    _refuse_wide(t)
+    ranges, records = _walk(t)
+    records.sort()  # by first vertex, which no two bags share
+    firsts = [first for first, _, _, _ in records]
+    return ranges, records, [(bisect_left(firsts, lo), bisect_left(firsts, hi), kind) for lo, hi, kind in ranges]
 
 
 def _classes(t: Cotree) -> list[tuple[bool, int, list[tuple[int, int]], int, int]]:
@@ -268,10 +288,16 @@ def _classes(t: Cotree) -> list[tuple[bool, int, list[tuple[int, int]], int, int
 
 
 def _refuse_wide(t: Cotree) -> None:
-    """Refuse with ValueError a tree of more than ``MAX_EDGE_LIST_N`` bags,
-    too many for a dense r x r bag adjacency. Bags are read off the root class
-    only when there are more leaves than that, since no tree has more bags than leaves."""
-    if t.n > MAX_EDGE_LIST_N and (r := _classes(t)[-1][3]) > MAX_EDGE_LIST_N:
+    """Refuse with ValueError a tree of more than ``MAX_EDGE_LIST_N`` bags
+    (``_refuse_bags``). Bags are read off the root class only when there are
+    more leaves than that, since no tree has more bags than leaves."""
+    if t.n > MAX_EDGE_LIST_N:
+        _refuse_bags(_classes(t)[-1][3])
+
+
+def _refuse_bags(r: int) -> None:
+    """Refuse with ValueError r > ``MAX_EDGE_LIST_N`` bags, too many for a dense r x r bag adjacency."""
+    if r > MAX_EDGE_LIST_N:
         raise ValueError(f"r = {r} bags exceeds the limit of {MAX_EDGE_LIST_N} for the dense bag adjacency")
 
 
@@ -619,7 +645,13 @@ class Bag:
 @dataclass(frozen=True)
 class BagRepresentation:
     bags: tuple[Bag, ...]
-    z: np.ndarray  # r x r bag adjacency; diagonal unused (False)
+    blocks: list[tuple[int, int, str]]  # each internal node's (lo, hi, kind) range of bag indices, parents first
+
+    @property
+    def z(self) -> np.ndarray:
+        """The r x r bag adjacency, filled as to_graph fills the graph's over
+        the blocks; diagonal unused (False)."""
+        return _block_fill(self.r, self.blocks)
 
     @property
     def r(self) -> int:
@@ -644,11 +676,12 @@ def bags(t: Cotree) -> BagRepresentation:
     ``MAX_EDGE_LIST_N`` leaves has its bags counted first, and more bags than
     that, too many for a dense r x r adjacency, are refused with ValueError.
     """
-    _refuse_wide(t)
-    ranges, records = _walk(t)
-    records.sort(key=lambda rec: rec[0][0])
-    firsts = [members[0] for members, _, _ in records]
-    blocks = [(bisect_left(firsts, lo), bisect_left(firsts, hi), kind) for lo, hi, kind in ranges]
-    z = _block_fill(len(records), blocks)
-    blist = tuple(Bag(kind, len(members), p, members) for members, kind, p in records)
-    return BagRepresentation(bags=blist, z=z)
+    ranges, records, blocks = _bag_records(t)
+    owner = [0] * t.n  # the node each vertex is a leaf child of: deeper ranges overwrite
+    for k, (lo, hi, _) in enumerate(ranges):
+        owner[lo:hi] = [k] * (hi - lo)
+    members: dict[int, list[int]] = {owner[first]: [] for first, _, _, _ in records}  # in bag order
+    for v, k in enumerate(owner):
+        members[k].append(v)
+    bag_list = zip(records, members.values())
+    return BagRepresentation(tuple(Bag(kind, size, p, tuple(m)) for (_, kind, size, p), m in bag_list), blocks)

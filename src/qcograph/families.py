@@ -234,6 +234,12 @@ def _core_pair_mains(c: int, a: int, b: int) -> list[float]:
     return list(quadratic_roots(bq, cq))
 
 
+def _satellite_bags(t: int, a: int) -> int:
+    """Bags of K_c joined with t copies of K_a: one, a complete graph, at
+    t = 1; else the core's, and the satellites' (one U-bag of t leaves at a = 1)."""
+    return 1 if t == 1 else 1 + (t if a > 1 else 1)
+
+
 def _satellite_mains(c: int, t: int, a: int) -> list[float] | None:
     """Mains of K_c joined with t copies of K_a (complete at t = 1; unknown for t >= 3)."""
     if t == 1:
@@ -249,13 +255,15 @@ _Clause = tuple[str, Callable[[dict], bool]]
 @dataclass(frozen=True)
 class _Family:
     """A family's parameter names (in declaration order); its (text, holds)
-    clauses beyond each integer parameter being >= 1; its cotree and
-    closed-form mains (descending, or None), both taking the parameters as
-    keywords; and its default grid, one axis per parameter, without the
-    points that break a clause or that `trim` names."""
+    clauses beyond each integer parameter being >= 1; its cotree, the bag
+    count of that cotree's normal form and its closed-form mains
+    (descending, or None), each taking the parameters as keywords; and its
+    default grid, one axis per parameter, without the points that break a
+    clause or that `trim` names."""
 
     params: tuple[str, ...]
     cotree: Callable[..., Cotree]
+    bags: Callable[..., int]
     mains: Callable[..., list[float] | None]
     clauses: tuple[_Clause, ...] = ()
     grid: tuple[Sequence, ...] | None = None
@@ -285,24 +293,39 @@ _P2 = (1, 2)
 
 
 _FAMILIES: dict[str, _Family] = {
-    "Complete": _Family(("n",), lambda n: _K(n), lambda n: [float(2 * n - 2)]),
-    "Empty": _Family(("n",), lambda n: _E(n), lambda n: [0.0]),
+    "Complete": _Family(("n",), lambda n: _K(n), lambda n: 1, lambda n: [float(2 * n - 2)]),
+    "Empty": _Family(("n",), lambda n: _E(n), lambda n: 1, lambda n: [0.0]),
     "CompleteSplit": _Family(
         ("a", "b"),
         lambda a, b: _J(_K(a), _E(b)),
+        lambda a, b: 1 if b == 1 else 2,
         lambda a, b: [float(2 * a)] if b == 1 else list(mains_complete_split(a, b)),  # b=1: K_{a+1}
     ),
     "BipartiteJoin": _Family(
         ("a", "b"),
         lambda a, b: _J(_E(a), _E(b)),
+        lambda a, b: 1 if a == b == 1 else 2,
         lambda a, b: [float(2 * a)] if a == b else [float(a + b), 0.0],
     ),
-    "CoreUnion": _Family(("c", "a", "b"), lambda c, a, b: _core(c, [a, b]), _core_pair_mains),
-    "CoreSatellite": _Family(("c", "t", "a"), lambda c, t, a: _core(c, [a] * t), _satellite_mains),
-    "Windmill": _Family(("t", "a"), lambda t, a: _core(1, [a] * t), lambda t, a: _satellite_mains(1, t, a)),
+    "CoreUnion": _Family(
+        ("c", "a", "b"), lambda c, a, b: _core(c, [a, b]), lambda c, a, b: 2 if a == b == 1 else 3, _core_pair_mains
+    ),
+    "CoreSatellite": _Family(
+        ("c", "t", "a"), lambda c, t, a: _core(c, [a] * t), lambda c, t, a: _satellite_bags(t, a), _satellite_mains
+    ),
+    "Windmill": _Family(
+        ("t", "a"), lambda t, a: _core(1, [a] * t), _satellite_bags, lambda t, a: _satellite_mains(1, t, a)
+    ),
     "GeneralizedCoreSatellite": _Family(
         ("n0", "satellites"),
         lambda n0, satellites: _core(n0, [order for count, order in satellites for _ in range(count)]),
+        # one satellite joins the core's bag; else the core's, one U-bag of
+        # the order-1 satellites and one per larger satellite
+        lambda n0, satellites: (
+            1
+            if sum(count for count, _ in satellites) == 1
+            else 1 + sum(count if order > 1 else 1 for count, order in satellites)
+        ),
         lambda n0, satellites: None,
         clauses=(
             ("at least one satellite class", lambda p: len(p["satellites"]) >= 1),
@@ -318,6 +341,7 @@ _FAMILIES: dict[str, _Family] = {
     "H1": _Family(
         ("a", "b", "p"),
         lambda a, b, p: _U(_E(a), *[_K(b)] * p),
+        lambda a, b, p: 1 + p,
         lambda a, b, p: [float(2 * b - 2), 0.0],
         clauses=(_at_least_2("b"),),
         grid=(range(1, 6), range(2, 6), _P3),
@@ -327,6 +351,7 @@ _FAMILIES: dict[str, _Family] = {
     "H2": _Family(
         ("a", "b", "p"),  # a=1 is accepted and coincides with H2p(b, p)
         lambda a, b, p: _U(*[_J(_K(a), _E(b))] * p),
+        lambda a, b, p: 2 * p,
         lambda a, b, p: list(mains_complete_split(a, b)),
         clauses=(_at_least_2("b"), _at_least_2("p")),
         grid=(range(2, 6), range(2, 6), range(2, 4)),
@@ -334,6 +359,7 @@ _FAMILIES: dict[str, _Family] = {
     "H2p": _Family(
         ("b", "p"),
         lambda b, p: _U(*[_star(b)] * p),
+        lambda b, p: 2 * p,
         lambda b, p: [float(1 + b), 0.0],
         clauses=(_at_least_2("b"), _at_least_2("p")),
         grid=(range(2, 6), range(2, 4)),
@@ -341,6 +367,7 @@ _FAMILIES: dict[str, _Family] = {
     "H2pp": _Family(
         ("b", "p1", "p2"),
         lambda b, p1, p2: _U(_E(p1), *[_star(b)] * p2),
+        lambda b, p1, p2: 1 + 2 * p2,
         lambda b, p1, p2: [float(1 + b), 0.0],
         clauses=(_at_least_2("b"), ("p1 >= 2 or p2 >= 2", lambda p: p["p1"] >= 2 or p["p2"] >= 2)),
         grid=(range(2, 6), _P3, _P3),
@@ -348,6 +375,7 @@ _FAMILIES: dict[str, _Family] = {
     "H3": _Family(
         ("s", "a1", "a2", "p"),
         lambda s, a1, a2, p: _U(*[_core(s, [a1, a2])] * p),
+        lambda s, a1, a2, p: 3 * p,  # a1 = a2 = 1 breaks a clause
         lambda s, a1, a2, p: _core_pair_mains(s, a1, a2),
         clauses=(_at_least_2("p"), ("a1 >= 2 or a2 >= 2", lambda p: p["a1"] >= 2 or p["a2"] >= 2)),
         grid=(range(1, 4), range(1, 5), range(1, 5), range(2, 4)),
@@ -355,6 +383,7 @@ _FAMILIES: dict[str, _Family] = {
     "H4": _Family(
         ("a", "p1", "p2"),
         lambda a, p1, p2: _U(*[_K(a)] * p1, *[_star(2 * a - 3)] * p2),
+        lambda a, p1, p2: p1 + p2 * (2 if a > 2 else 1),  # a = 2: the star is K_2
         lambda a, p1, p2: [2.0] if a == 2 else [float(2 * a - 2), 0.0],  # a=2: every block is K_2
         clauses=(_at_least_2("a"),),
         grid=(range(3, 6), _P3, _P3),
@@ -362,6 +391,7 @@ _FAMILIES: dict[str, _Family] = {
     "H5": _Family(
         ("a", "p1", "p2", "p3"),
         lambda a, p1, p2, p3: _U(*[_K(a)] * p1, *[_star(2 * a - 3)] * p2, _E(p3)),
+        lambda a, p1, p2, p3: p1 + p2 * (2 if a > 2 else 1) + 1,
         lambda a, p1, p2, p3: [float(2 * a - 2), 0.0],
         clauses=(_at_least_2("a"),),
         grid=(range(2, 6), _P3, _P3, _P3),
@@ -369,6 +399,7 @@ _FAMILIES: dict[str, _Family] = {
     "H6": _Family(
         ("s", "p1", "p2", "p3"),
         lambda s, p1, p2, p3: _tiered(_J(_K(2 * s - 1), _E(3 * s)), 4 * s - 1, (s + 1) // 2, p1, p2, p3),
+        lambda s, p1, p2, p3: 2 * p1 + p2 + (p3 if s > 1 else 1),  # s = 1: the K_y are p3 leaves, one U-bag
         lambda s, p1, p2, p3: [float(8 * s - 4), float(s - 1)],
         clauses=(("s odd", lambda p: p["s"] % 2 == 1),),
         grid=(range(1, 6), _P2, _P2, _P2),
@@ -376,6 +407,7 @@ _FAMILIES: dict[str, _Family] = {
     "H7": _Family(
         ("s", "p1", "p2", "p3"),
         lambda s, p1, p2, p3: _tiered(_core(s, [s + 1, s + 2]), (5 * s + 4) // 2, s + 1, p1, p2, p3),
+        lambda s, p1, p2, p3: 3 * p1 + p2 + p3,
         lambda s, p1, p2, p3: [float(5 * s + 2), float(2 * s)],
         clauses=(("s even", lambda p: p["s"] % 2 == 0),),
         grid=(range(2, 7), _P2, _P2, _P2),
@@ -383,6 +415,7 @@ _FAMILIES: dict[str, _Family] = {
     "H8": _Family(
         ("s", "p1", "p2", "p3"),
         lambda s, p1, p2, p3: _tiered(_core(s, [s, s]), 5 * s // 2, s, p1, p2, p3),
+        lambda s, p1, p2, p3: 3 * p1 + p2 + p3,
         lambda s, p1, p2, p3: [float(5 * s - 2), float(2 * s - 2)],
         clauses=(("s even", lambda p: p["s"] % 2 == 0),),
         grid=(range(2, 7), _P2, _P2, _P2),
@@ -396,6 +429,11 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {name: row.params for name, row in _
 def _raw_cotree(spec: FamilySpec) -> Cotree:
     """The instance's cotree as its family row makes it: normal, not yet in canonical order."""
     return _FAMILIES[spec.family].cotree(**spec.param_dict())
+
+
+def _spec_bag_count(spec: FamilySpec) -> int:
+    """The bags of the instance's cotree, off its parameters: no node is built."""
+    return _FAMILIES[spec.family].bags(**spec.param_dict())
 
 
 def build_cotree(spec: FamilySpec) -> Cotree:

@@ -17,7 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cotree import BagRepresentation, Cotree, JOIN, _class_tree, bags
+from .cotree import BagRepresentation, Cotree, JOIN, _bag_records, _class_tree
 from .graph import Graph
 
 __all__ = [
@@ -61,15 +61,19 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     Sweeps the strict upper triangle in row order until the off-diagonal
     Frobenius norm drops below 1e-12 of the matrix norm. Deterministic:
     fixed sweep order, no pivot search. The input must be finite, with a
-    finite Frobenius norm, and exactly symmetric (ValueError otherwise):
-    each rotation writes rows p and q as the transpose of the rotated
-    columns p and q, so A stays exactly symmetric.
+    finite Frobenius norm, and exactly symmetric (ValueError otherwise, in
+    that order of precedence; a finite norm already shows every entry
+    finite, so the entries are scanned only when it is not): each rotation
+    writes rows p and q as the transpose of the rotated columns p and q, so
+    A stays exactly symmetric.
 
     A and the accumulated rotations V are kept transposed, as one n x 2n
     C-contiguous work array W whose row j is column j of A followed by column
     j of V. A rotation turns rows p and q of W with one np.dot(rot.T, W[pq])
     and copies the first n columns back as rows p and q of A; scalars go
-    through a flat memoryview of W. Each element is c*x - s*y or s*x + c*y
+    through a flat memoryview of W. The diagonal is kept as Python floats
+    beside W and never read from it: the rotated entries at (p, p) and
+    (q, q) are left in W unused. Each element is c*x - s*y or s*x + c*y
     of the same two entries as in the column form (A over V) @ rot, and
     OpenBLAS rounds the transposed 2 x 2n product element for element as it
     rounds the 2n x 2 one, so the output is the column form's, bit for bit.
@@ -80,16 +84,17 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     n = a.shape[0]
     if n == 0 or a.shape != (n, n):
         raise ValueError(f"need a non-empty square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("need a finite matrix, got a NaN or infinite entry")
-    if not (a == a.T).all():
-        raise ValueError("need an exactly symmetric matrix")
-    # the diagonal as Python floats: a rotation changes only a[p, p] and
-    # a[q, q], and writes both from here
-    diag = a.diagonal().tolist()
-    norm = _norm(a)
+    norm = _norm(a)  # NaN or infinite with any such entry
+    symmetric = (a == a.T).all()
     if not math.isfinite(norm):  # an infinite tol would pass the first convergence check
-        raise ValueError("need a matrix whose Frobenius norm is finite, got one that overflows")
+        if not np.isfinite(a).all():
+            raise ValueError("need a finite matrix, got a NaN or infinite entry")
+        if symmetric:
+            raise ValueError("need a matrix whose Frobenius norm is finite, got one that overflows")
+    if not symmetric:
+        raise ValueError("need an exactly symmetric matrix")
+    # the diagonal as Python floats: a rotation changes only a[p, p] and a[q, q]
+    diag = a.diagonal().tolist()
     tol = _CONVERGENCE * norm
     if _off_diagonal_norm(a) <= tol:  # no rotation to run: V = I
         return _sorted_decomposition(diag, np.eye(n))
@@ -103,12 +108,12 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     rot_t = rot.T
     turned = np.empty((2, width))  # rows p and q of W, rotated
     turned_a = turned[:, :n].T  # as columns p and q of A
-    views = {}  # by the flat index of (p, q): rows p and q of W, and columns p and q of A
+    views = [[None] * n for _ in range(n - 1)]  # per row p, by q: rows p and q of W, and columns p and q of A
     # if every rotation in a sweep falls below this, the off-diagonal norm
     # is already below tol, so skipping them cannot stall convergence
     skip = tol / (2.0 * n)
     for _ in range(_MAX_SWEEPS):
-        for p in range(n - 1):
+        for p, pairs in enumerate(views):
             app = diag[p]
             row_p = p * width
             for q in range(p + 1, n):
@@ -123,18 +128,18 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
                 r[0] = r[3] = c
                 r[1] = s
                 r[2] = -s
-                pair = views.get(row_p + q)
+                pair = pairs[q]
                 if pair is None:
                     pq = slice(p, q + 1, q - p)
-                    pair = views[row_p + q] = (w[pq], w[:, pq])
+                    pair = pairs[q] = (w[pq], w[:, pq])
                 rows, cols = pair
                 np.dot(rot_t, rows, turned)  # out=turned: rot.T @ rows, written in place
                 rows[...] = turned
                 cols[...] = turned_a
-                app, aqq = app - t * apq, aqq + t * apq
-                diag[p] = flat[row_p + p] = app
-                diag[q] = flat[q * width + q] = aqq
+                app -= t * apq
+                diag[q] = aqq + t * apq
                 flat[row_p + q] = flat[q * width + p] = 0.0
+            diag[p] = app
         if _off_diagonal_norm(a) <= tol:
             return _sorted_decomposition(diag, w[:, n:])
     raise SolverError(f"Jacobi sweep cap ({_MAX_SWEEPS}) exceeded for order {n}")
@@ -155,9 +160,8 @@ def _off_diagonal_norm(a: np.ndarray) -> float:
 def _sorted_decomposition(values: list[float], vectors_t: np.ndarray) -> EigenDecomposition:
     """Values ascending (stable), with the eigenvectors given as the rows of
     vectors_t returned as columns (the F-contiguous transpose of a copy)."""
-    values = np.array(values)
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=vectors_t[order].T)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return EigenDecomposition(values=np.array([values[i] for i in order]), vectors=vectors_t[order].T)
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:
@@ -311,21 +315,28 @@ def q_spectrum_cotree(
     items: C's r values, and for each bag of two or more leaves its twin
     value (an integer) with count t - 1 and no eigenvector. A group's
     projection is that of s onto C's eigenvectors in the group alone.
+    A cotree's bags are read as records off its walk: no Bag is built.
     """
-    b = t if isinstance(t, BagRepresentation) else bags(t)
-    c = condensed(b)
+    records, blocks = _bag_view(t)
+    c = _condensed(records, blocks)
     dec = jacobi_eigh(c.entries)
-    runs = [bag for bag in b.bags if bag.t > 1]
-    values = np.concatenate([dec.values, [bag.p - 1 if bag.kind == JOIN else bag.p for bag in runs]])
-    counts = [1] * b.r + [bag.t - 1 for bag in runs]
-    order = np.argsort(values, kind="stable")
-    listed = order.tolist()  # item indices, ascending by value
-    # dec's values keep their order and come first at ties, so those in a span
-    # of the sorted items are a span of dec's columns: before[i] precede item i
-    before = list(accumulate(map(b.r.__gt__, listed), initial=0))
-    counts = [counts[i] for i in listed]
-    degree = max(bag.p for bag in b.bags)
-    return _report("cotree", b.n, degree, values[order], dec.vectors, c.weights, before, tol_group, tol_main, counts)
+    r = len(records)
+    values = dec.values.tolist()
+    counts = [1] * r
+    for _, kind, size, p in records:
+        if size > 1:
+            values.append(float(p - 1 if kind == JOIN else p))
+            counts.append(size - 1)
+    # stable, as np.argsort(kind="stable") is on finite values: dec's values
+    # keep their order and come first at ties, so those in a span of the
+    # sorted items are a span of dec's columns: before[i] precede item i
+    order = sorted(range(len(values)), key=values.__getitem__)
+    before = list(accumulate(map(r.__gt__, order), initial=0))
+    values = np.array([values[i] for i in order])
+    counts = [counts[i] for i in order]
+    n = sum(size for _, _, size, _ in records)
+    degree = max(p for _, _, _, p in records)
+    return _report("cotree", n, degree, values, dec.vectors, c.weights, before, tol_group, tol_main, counts)
 
 
 def main_count_exact(t: Cotree) -> int:
@@ -402,10 +413,34 @@ class CondensedMatrix:
 
 
 def condensed(b: BagRepresentation) -> CondensedMatrix:
-    """C as z * s s^T, whose diagonal z leaves zero, with the bag diagonal written in."""
-    root = np.sqrt(np.array([bag.t for bag in b.bags], dtype=float))
-    c = b.z * np.outer(root, root)
-    c.flat[:: b.r + 1] = [bag.p + (bag.t - 1) if bag.kind == JOIN else bag.p for bag in b.bags]
+    """C of the bags of b, built by ``_condensed`` as the cotree report builds it."""
+    return _condensed(*_bag_view(b))
+
+
+def _bag_view(t: Cotree | BagRepresentation) -> tuple[list[tuple[int, str, int, int]], list[tuple[int, int, str]]]:
+    """The (first vertex, kind, t, p) record of each bag, in bag order, and
+    each internal node's (lo, hi, kind) range of bag indices, parents first:
+    read off the walk of a cotree, or off its bags."""
+    if isinstance(t, BagRepresentation):
+        return [(bag.members[0], bag.kind, bag.t, bag.p) for bag in t.bags], t.blocks
+    _, records, blocks = _bag_records(t)
+    return records, blocks
+
+
+def _condensed(records: list[tuple[int, str, int, int]], blocks: list[tuple[int, int, str]]) -> CondensedMatrix:
+    """C of the bags in records: each block filled with 1.0 under a J-node
+    and 0.0 under a U-node, deeper blocks after their parents so that each
+    pair is set by its LCA, as in z; then scaled in place by s_i and by s_j,
+    which gives z * s s^T bit for bit (1.0 * x is x) with no r x r temporary;
+    then the bag diagonal."""
+    r = len(records)
+    root = np.sqrt(np.array([size for _, _, size, _ in records], dtype=float))
+    c = np.zeros((r, r))
+    for lo, hi, kind in blocks:
+        c[lo:hi, lo:hi] = 1.0 if kind == JOIN else 0.0
+    c *= root[:, None]
+    c *= root
+    c.ravel()[:: r + 1] = [p + (size - 1) if kind == JOIN else p for _, kind, size, p in records]
     return CondensedMatrix(entries=c, weights=root)
 
 

@@ -1,12 +1,15 @@
 import math
+from itertools import product
 
 import pytest
 
-from qcograph.cotree import MAX_CHILDREN, Leaf, canonical_string, to_graph
+from qcograph.cotree import MAX_CHILDREN, Leaf, _classes, canonical_string, to_graph
 from qcograph.families import (
     _FAMILIES,
     FAMILY_PARAMS,
     FamilySpec,
+    _raw_cotree,
+    _spec_bag_count,
     build,
     build_cotree,
     default_grid,
@@ -227,3 +230,46 @@ class TestGrids:
                 _, g = build(spec)
                 rep = classify(g)
                 assert rep.is_quasi_threshold and rep.is_connected, spec
+
+
+def bag_count_specs(family: str) -> list[FamilySpec]:
+    """The family's default grid, if it has one, and every valid point with
+    each integer parameter in 1..4, so b = 1, a = 1 and t = 1 are among them;
+    the core-satellite family takes small satellite lists instead, one
+    satellite and an order-1 class among them."""
+    specs = default_grid(family) if _FAMILIES[family].grid else []
+    if family == "GeneralizedCoreSatellite":
+        lists = ([[1, 1]], [[1, 3]], [[3, 1]], [[2, 4]], [[1, 1], [1, 2]], [[2, 1], [1, 3], [3, 4]])
+        return specs + [FamilySpec.make(family, n0=n0, satellites=sats) for n0 in (1, 2) for sats in lists]
+    for values in product(range(1, 5), repeat=len(FAMILY_PARAMS[family])):
+        try:
+            specs.append(FamilySpec.make(family, **dict(zip(FAMILY_PARAMS[family], values))))
+        except ValueError:  # breaks a clause
+            pass
+    return specs
+
+
+class TestBagCounts:
+    """Each family row's bag count, read off the parameters, is the bag count
+    of the class table of the tree the row builds."""
+
+    @pytest.mark.parametrize("family", list(FAMILY_PARAMS))
+    def test_matches_class_table(self, family):
+        specs = bag_count_specs(family)
+        assert specs
+        for spec in specs:
+            assert _spec_bag_count(spec) == _classes(_raw_cotree(spec))[-1][3], spec.to_json_dict()
+
+    def test_degenerate_points(self):
+        cases = [
+            ("CompleteSplit", {"a": 3, "b": 1}, 1),
+            ("BipartiteJoin", {"a": 1, "b": 1}, 1),
+            ("CoreUnion", {"c": 2, "a": 1, "b": 1}, 2),
+            ("CoreSatellite", {"c": 2, "t": 1, "a": 5}, 1),
+            ("CoreSatellite", {"c": 2, "t": 4, "a": 1}, 2),
+            ("Windmill", {"t": 1, "a": 1}, 1),
+            ("GeneralizedCoreSatellite", {"n0": 2, "satellites": [[1, 3]]}, 1),
+        ]
+        for family, params, r in cases:
+            spec = FamilySpec.make(family, **params)
+            assert _spec_bag_count(spec) == r == _classes(_raw_cotree(spec))[-1][3], (family, params)

@@ -714,6 +714,18 @@ class TestWideFamilies:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "r = 5001 bags" in err and err.count("\n") == 1
 
+    def test_spectrum_refuses_before_the_tree_is_built(self, monkeypatch, capsys):
+        # K_1 joined to 10^6 copies of K_(10^6): 1,000,001 bags, counted off the parameters
+        def refuse(_):
+            raise AssertionError("_raw_cotree called")
+
+        monkeypatch.setattr("qcograph.families._raw_cotree", refuse)
+        start = time.perf_counter()
+        assert main(["spectrum", "--family", '{"family":"CoreSatellite","params":{"c":1,"t":1000000,"a":1000000}}']) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "r = 1000001 bags" in err and err.count("\n") == 1
+
 
 class TestOversizedCounts:
     """A count of more than MAX_CHILDREN children of one node is a usage

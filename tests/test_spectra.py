@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcograph.cotree import JOIN, UNION, BagRepresentation, Internal, Leaf, bags, from_graph, normalize, parse, to_graph
-from qcograph.enumeration import enumerate_cographs
+from qcograph.enumeration import enumerate_cographs, enumerate_cotrees
 from qcograph.families import FamilySpec, build, build_cotree, default_grids
 from qcograph.graph import MAX_EDGE_LIST_N, Graph, bipartition, components, induced_subgraph, join
 from qcograph.spectra import (
@@ -147,6 +147,24 @@ class TestJacobi:
     )
     def test_rejects_non_finite_or_asymmetric(self, matrix):
         with pytest.raises(ValueError):
+            jacobi_eigh(np.array(matrix))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[math.nan, 1.0], [2.0, 0.0]], "finite matrix"),
+            pytest.param(
+                [[0.0, 1e200], [2e200, 0.0]], "exactly symmetric", marks=pytest.mark.filterwarnings("ignore:overflow")
+            ),
+            pytest.param(
+                [[0.0, 1e200], [1e200, 0.0]], "norm is finite", marks=pytest.mark.filterwarnings("ignore:overflow")
+            ),
+        ],
+        ids=["nan-and-asymmetric", "norm-overflows-and-asymmetric", "norm-overflows"],
+    )
+    def test_error_order(self, matrix, message):
+        # finiteness first, then symmetry, then the norm: the entries are scanned only when the norm is not finite
+        with pytest.raises(ValueError, match=message):
             jacobi_eigh(np.array(matrix))
 
     def test_deterministic(self):
@@ -562,6 +580,44 @@ class TestCotreeReportReference:
             assert got == reference_q_spectrum_cotree(t, tol_group, 1e-6), repr(t)
 
 
+class TestReportFromRecords:
+    """q_spectrum_cotree reads a cotree's bags as records off its walk and
+    builds no Bag; its report equals the one read off ``bags(t)``."""
+
+    def test_records_equal_bags_every_cograph_up_to_9(self):
+        count = 0
+        for n in range(1, 10):
+            for t in enumerate_cotrees(n):
+                assert q_spectrum_cotree(t) == q_spectrum_cotree(bags(t)), repr(t)
+                count += 1
+        assert count == 2341
+
+    def test_records_equal_bags_on_random_unnormalized_trees(self):
+        rng = random.Random(11)  # the trees of TestWalksPinned
+        apart = 0
+        for _ in range(3000):
+            t = random_cotree(rng, rng.randint(1, 12), {})
+            b = bags(t)
+            assert q_spectrum_cotree(t) == q_spectrum_cotree(b), repr(t)
+            apart += any(bag.members[-1] - bag.members[0] >= bag.t for bag in b.bags)
+        assert apart > 100  # bags whose leaves another child's leaves split
+
+    @pytest.mark.parametrize("expr", ["U(1,J(2),1)", "J(U(J(2),1),3,U(2,J(3)),1)", "U(J(2),1,J(1,U(2)),2)"])
+    def test_records_equal_bags_on_split_bags(self, expr):
+        t = parse(expr)
+        b = bags(t)
+        assert any(bag.members[-1] - bag.members[0] >= bag.t for bag in b.bags)
+        assert q_spectrum_cotree(t) == q_spectrum_cotree(b)
+
+    def test_builds_no_bag(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("Bag built")
+
+        monkeypatch.setattr("qcograph.cotree.Bag", refuse)
+        rep = q_spectrum_cotree(parse("U(2000*K(500))"))
+        assert (rep.n, [(grp.value, grp.multiplicity) for grp in rep.groups]) == (10**6, [(998.0, 2000), (498.0, 998000)])
+
+
 def reference_main_count(t) -> int:
     """The main count as the Krylov rank of the r x r integer bag quotient B
     (diagonal p + t - 1 on a J-bag and p on a U-bag, entry (i, j) t_j when
@@ -679,7 +735,7 @@ class TestMainCountOnClassTree:
         def refuse(*_):
             raise AssertionError("bags called")
 
-        for target in ("qcograph.spectra.bags", "qcograph.cotree.bags", "qcograph.cotree._walk"):
+        for target in ("qcograph.spectra._bag_records", "qcograph.cotree.bags", "qcograph.cotree._walk"):
             monkeypatch.setattr(target, refuse)
         assert main_count_exact(parse("J(1,U(E(2),K(500)))")) == 3
         assert main_count_exact(found_tree()) == 63
