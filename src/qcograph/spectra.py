@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -43,6 +44,7 @@ __all__ = [
 
 _MAX_SWEEPS = 100
 _CONVERGENCE = 1e-12  # of the Frobenius norm
+_KEPT_ORDER = 32  # each thread keeps its Jacobi workspaces of orders up to this
 
 
 class SolverError(RuntimeError):
@@ -65,7 +67,8 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     that order of precedence; a finite norm already shows every entry
     finite, so the entries are scanned only when it is not): each rotation
     writes rows p and q as the transpose of the rotated columns p and q, so
-    A stays exactly symmetric.
+    A stays exactly symmetric. An input with no nonzero off-diagonal entry
+    turns no rotation and is answered without a copy of it.
 
     A and the accumulated rotations V are kept transposed, as one n x 2n
     C-contiguous work array W whose row j is column j of A followed by column
@@ -79,6 +82,11 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
     rounds the 2n x 2 one, so the output is the column form's, bit for bit.
     The tests pin that against a reference that does the matmul; CI runs
     them with one BLAS thread too, as the benchmark runs.
+
+    W and its buffers and views depend on n alone, so each thread keeps them
+    per order (``_workspace``), up to order ``_KEPT_ORDER``; a larger order
+    builds them for its one solve. A solve overwrites all of W before it
+    reads it, and the values and vectors it returns are fresh arrays.
     """
     a = np.asarray(matrix, dtype=float)  # read only: W gets the copy
     n = a.shape[0]
@@ -95,20 +103,17 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
         raise ValueError("need an exactly symmetric matrix")
     # the diagonal as Python floats: a rotation changes only a[p, p] and a[q, q]
     diag = a.diagonal().tolist()
+    if np.count_nonzero(a) == n - diag.count(0.0):  # no nonzero off the diagonal, so no copy of A: V = I
+        return _sorted_decomposition(diag)
     tol = _CONVERGENCE * norm
-    if _off_diagonal_norm(a) <= tol:  # no rotation to run: V = I
-        return _sorted_decomposition(diag, np.eye(n))
+    w, w_a, v, v_diagonal, flat, r, rot_t, turned, turned_a, views, off, off_diagonal = _workspace(n)
+    if _off_diagonal_norm(a, off, off_diagonal) <= tol:  # no rotation to run: V = I
+        return _sorted_decomposition(diag)
+    w_a[...] = a  # W = [A^T | V^T], with V = I to start
+    v.fill(0.0)
+    v_diagonal.fill(1.0)
     width = 2 * n
-    w = np.eye(n, width, n)  # W = [A^T | V^T], with V = I to start
-    w[:, :n] = a
-    a = w[:, :n]  # A^T, which is A
-    flat = memoryview(w.reshape(-1))  # w[i, j] is flat[i * width + j]
-    rot = np.empty((2, 2))  # [[c, s], [-s, c]]
-    r = memoryview(rot.reshape(-1))
-    rot_t = rot.T
-    turned = np.empty((2, width))  # rows p and q of W, rotated
-    turned_a = turned[:, :n].T  # as columns p and q of A
-    views = [[None] * n for _ in range(n - 1)]  # per row p, by q: rows p and q of W, and columns p and q of A
+    sqrt, copysign, dot = math.sqrt, math.copysign, np.dot
     # if every rotation in a sweep falls below this, the off-diagonal norm
     # is already below tol, so skipping them cannot stall convergence
     skip = tol / (2.0 * n)
@@ -122,8 +127,8 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
                     continue
                 aqq = diag[q]
                 tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
+                t = copysign(1.0, tau) / (abs(tau) + sqrt(1.0 + tau * tau))
+                c = 1.0 / sqrt(1.0 + t * t)
                 s = t * c
                 r[0] = r[3] = c
                 r[1] = s
@@ -133,16 +138,61 @@ def jacobi_eigh(matrix: np.ndarray) -> EigenDecomposition:
                     pq = slice(p, q + 1, q - p)
                     pair = pairs[q] = (w[pq], w[:, pq])
                 rows, cols = pair
-                np.dot(rot_t, rows, turned)  # out=turned: rot.T @ rows, written in place
+                dot(rot_t, rows, turned)  # out=turned: rot.T @ rows, written in place
                 rows[...] = turned
                 cols[...] = turned_a
                 app -= t * apq
                 diag[q] = aqq + t * apq
                 flat[row_p + q] = flat[q * width + p] = 0.0
             diag[p] = app
-        if _off_diagonal_norm(a) <= tol:
-            return _sorted_decomposition(diag, w[:, n:])
+        if _off_diagonal_norm(w_a, off, off_diagonal) <= tol:
+            return _sorted_decomposition(diag, v)
     raise SolverError(f"Jacobi sweep cap ({_MAX_SWEEPS}) exceeded for order {n}")
+
+
+class _Workspaces(threading.local):
+    def __init__(self) -> None:
+        self.by_order: dict[int, tuple] = {}  # this thread's workspaces, by matrix order
+
+
+_workspaces = _Workspaces()
+
+
+def _workspace(n: int) -> tuple:
+    """This thread's work arrays and views for a Jacobi solve of order n.
+
+    W (n x 2n), its A half, its V half and the V half's diagonal, a flat
+    memoryview of W; the rotation rot = [[c, s], [-s, c]] as a flat memoryview
+    and transposed; the 2 x 2n buffer of rotated rows and its A half as
+    columns; per row p, by q, the views (rows p and q of W, columns p and q
+    of A), each made at the first rotation of its pair; and an n x n buffer
+    for the off-diagonal norm with its diagonal. Kept for n <= _KEPT_ORDER.
+    """
+    workspace = _workspaces.by_order.get(n)
+    if workspace is None:
+        width = 2 * n
+        w = np.empty((n, width))
+        w_flat = w.reshape(-1)  # w[i, j] is w_flat[i * width + j]
+        rot = np.empty((2, 2))
+        turned = np.empty((2, width))
+        off = np.empty((n, n))
+        workspace = (
+            w,
+            w[:, :n],
+            w[:, n:],
+            w_flat[n :: width + 1],
+            memoryview(w_flat),
+            memoryview(rot.reshape(-1)),
+            rot.T,
+            turned,
+            turned[:, :n].T,
+            [[None] * n for _ in range(n - 1)],
+            off,
+            off.reshape(-1)[:: n + 1],
+        )
+        if n <= _KEPT_ORDER:
+            _workspaces.by_order[n] = workspace
+    return workspace
 
 
 def _norm(x: np.ndarray) -> float:
@@ -151,17 +201,26 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a.flatten()
-    off[:: a.shape[0] + 1] = 0.0  # the diagonal
+def _off_diagonal_norm(a: np.ndarray, off: np.ndarray, off_diagonal: np.ndarray) -> float:
+    """The 2-norm of a raveled with its diagonal zeroed, computed in off
+    (C-contiguous, of a's shape), whose diagonal off_diagonal views."""
+    off[...] = a
+    off_diagonal.fill(0.0)
     return _norm(off)
 
 
-def _sorted_decomposition(values: list[float], vectors_t: np.ndarray) -> EigenDecomposition:
+def _sorted_decomposition(values: list[float], vectors_t: np.ndarray | None = None) -> EigenDecomposition:
     """Values ascending (stable), with the eigenvectors given as the rows of
-    vectors_t returned as columns (the F-contiguous transpose of a copy)."""
-    order = sorted(range(len(values)), key=values.__getitem__)
-    return EigenDecomposition(values=np.array([values[i] for i in order]), vectors=vectors_t[order].T)
+    vectors_t (the identity if None) returned as columns: the F-contiguous
+    transpose of a fresh array."""
+    n = len(values)
+    order = sorted(range(n), key=values.__getitem__)
+    if vectors_t is None:  # the identity's rows in that order, with no identity built
+        rows = np.zeros((n, n))
+        rows[range(n), order] = 1.0
+    else:
+        rows = vectors_t[order]
+    return EigenDecomposition(values=np.array([values[i] for i in order]), vectors=rows.T)
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:

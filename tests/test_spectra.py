@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import sys
+import threading
 import time
 from itertools import accumulate, compress
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcograph import spectra
 from qcograph.cotree import JOIN, UNION, BagRepresentation, Internal, Leaf, bags, from_graph, normalize, parse, to_graph
 from qcograph.enumeration import enumerate_cographs, enumerate_cotrees
 from qcograph.families import FamilySpec, build, build_cotree, default_grids
@@ -190,6 +193,63 @@ class TestJacobi:
         again = jacobi_eigh(matrix)
         assert np.array_equal(again.values, values)
         assert np.array_equal(again.vectors, vectors)
+        # a solve of another matrix of the same order reuses this thread's workspace
+        other = np.random.default_rng(0).normal(size=matrix.shape)
+        jacobi_eigh(other + other.T)
+        assert np.array_equal(again.values, values)
+        assert np.array_equal(again.vectors, vectors)
+
+    def test_workspace_per_thread_gives_the_serial_bits(self):
+        # 4 threads solve the same orders at once; a workspace shared between
+        # threads would mix their rotations
+        matrices = [signless_laplacian(to_graph(parse(s))) for n in range(1, 8) for s in enumerate_cographs(n).strings]
+
+        def solve_all():
+            return [jacobi_eigh(m) for m in matrices]
+
+        def digest(decompositions):
+            return [(d.values.tobytes(), d.vectors.tobytes()) for d in decompositions]
+
+        serial = digest(solve_all())
+        start = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def run(i):
+            start.wait()
+            results[i] = digest(solve_all())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads within a solve, not only between them
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(matrices) == 287
+        assert all(result == serial for result in results)
+
+    def test_workspace_store_is_bounded(self):
+        # a thread keeps the workspaces of orders up to the bound, and builds a larger one per solve
+        kept = []
+
+        def run():
+            for n in range(1, 65):
+                m = np.diag(np.arange(n, dtype=float))
+                if n > 1:
+                    m[0, 1] = m[1, 0] = 1.0  # one rotation: through the workspace
+                jacobi_eigh(m)
+            kept.extend(spectra._workspaces.by_order)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert spectra._KEPT_ORDER == 32
+        assert sorted(kept) == list(range(2, 33))
 
     def test_group_signatures_pinned(self):
         # per cograph with n <= 8: group multiplicities and main flags by the
